@@ -57,10 +57,16 @@ def load_caps() -> dict:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise CliError(f"cannot read config {path}: {err}") from err
+        if not isinstance(overrides, dict):
+            raise CliError(f"config {path} must be a JSON object")
         for key, value in overrides.items():
             if key not in caps:
                 raise CliError(f"unknown config key {key!r}")
-            caps[key] = int(value)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise CliError(
+                    f"config value for {key!r} must be an integer, "
+                    f"got {value!r}")
+            caps[key] = value
     return caps
 
 
@@ -92,7 +98,7 @@ def record(name, status, expected=None, actual=None, tolerance=None):
 # -- command handlers -----------------------------------------------------
 
 
-def cmd_models(args) -> list:
+def cmd_models(args, caps) -> list:
     records = []
     if args.action == "list":
         for name in anyons.MODEL_NAMES:
@@ -135,7 +141,7 @@ def _load_model(target: str, k: int | None) -> anyons.ModularData:
         raise CliError(str(err)) from err
 
 
-def cmd_mcg(args) -> list:
+def cmd_mcg(args, caps) -> list:
     if args.action == "relations":
         return [record(f"relation:{name}", "pass" if ok else "fail")
                 for name, ok in mcg.verify_group_relations()]
@@ -151,7 +157,7 @@ def cmd_mcg(args) -> list:
     ]
 
 
-def cmd_origami_list(args) -> list:
+def cmd_origami_list(args, caps) -> list:
     records = []
     for name in origami.catalog_names():
         entry = origami.builtin_protocol(name)
@@ -160,7 +166,7 @@ def cmd_origami_list(args) -> list:
     return records
 
 
-def cmd_origami_verify(args) -> list:
+def cmd_origami_verify(args, caps) -> list:
     if args.target == "all":
         names = origami.catalog_names()
     else:
@@ -185,8 +191,7 @@ def cmd_origami_verify(args) -> list:
     return records
 
 
-def cmd_stabilizer(args) -> list:
-    caps = load_caps()
+def cmd_stabilizer(args, caps) -> list:
     if args.action == "verify":
         lattice = args.lattice
         if lattice is None:
@@ -239,7 +244,7 @@ def _expected_symplectic(word: str) -> np.ndarray:
         anyons.rep_on_torus(model, word))
 
 
-def cmd_measure(args) -> list:
+def cmd_measure(args, caps) -> list:
     if args.action == "identity-suite":
         return _identity_suite(args.seed, args.tolerance, args.max_dim)
     if args.action == "estimate":
@@ -311,7 +316,11 @@ def _extract(path: str, tol: float) -> list:
     if "model" not in doc or "records" not in doc:
         raise CliError("extraction input needs 'model' and 'records' keys")
     model = _load_model(doc["model"], doc.get("k"))
-    measured = interferometry.records_from_json(json.dumps(doc["records"]))
+    try:
+        measured = interferometry.records_from_json(
+            json.dumps(doc["records"]))
+    except interferometry.InterferometryError as err:
+        raise CliError(str(err)) from err
     measurements = {r.name: r.value for r in measured}
     try:
         result = interferometry.extract_matrix_elements(
@@ -413,9 +422,10 @@ def main(argv=None) -> int:
         if args.command == "measure" and args.action != "identity-suite" \
                 and not args.path:
             raise CliError(f"measure {args.action} needs an input file")
+        caps = load_caps()
         if args.max_dim is None:
-            args.max_dim = load_caps()["max_dim"]
-        records = args.handler(args)
+            args.max_dim = caps["max_dim"]
+        records = args.handler(args, caps)
     except CliError as err:
         print(json.dumps({"error": str(err)}, sort_keys=True),
               file=sys.stderr)
@@ -433,3 +443,7 @@ def main(argv=None) -> int:
         report["elapsed"] = None
     sys.stdout.write(render(report, args.format))
     return 0 if overall == "pass" else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -489,9 +489,16 @@ def records_to_json(records) -> str:
 
 
 def records_from_json(text: str):
-    return [MeasurementRecord(d["name"], complex(d["re"], d["im"]),
-                              d.get("variance"), d.get("provenance", "file"))
-            for d in json.loads(text)]
+    """Parse a JSON list of records; each needs name, re and im."""
+    docs = json.loads(text)
+    try:
+        return [MeasurementRecord(d["name"], complex(d["re"], d["im"]),
+                                  d.get("variance"),
+                                  d.get("provenance", "file"))
+                for d in docs]
+    except (KeyError, TypeError, ValueError) as err:
+        raise InterferometryError(
+            f"malformed measurement record: {err!r}") from err
 
 
 def synthetic_measurements(model: anyons.ModularData) -> dict:

@@ -16,9 +16,9 @@ dual loop just inside each layer's boundary to a stabilizer.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,10 +61,37 @@ def gf2_rank(mat: np.ndarray) -> int:
 
 def gf2_in_span(mat: np.ndarray, vec: np.ndarray) -> bool:
     """True iff vec lies in the GF(2) row span of mat."""
-    base = gf2_rank(mat)
-    stacked = np.vstack([np.asarray(mat, dtype=np.uint8),
-                         np.asarray(vec, dtype=np.uint8)[None, :]])
-    return gf2_rank(stacked) == base
+    rows, pivots = gf2_row_reduce(mat)
+    return not _gf2_residues(rows, pivots, np.asarray(vec)[None, :]).any()
+
+
+def _gf2_residues(rows: np.ndarray, pivots: list[int],
+                  vecs: np.ndarray) -> np.ndarray:
+    """Eliminate every row of vecs against echelon rows with these pivots.
+
+    One pass over the pivots, one masked XOR each; a row of the result is
+    zero iff that row of vecs lies in the span of the echelon rows.
+    """
+    out = np.asarray(vecs, dtype=np.uint8) % 2
+    for row, col in zip(rows, pivots):
+        out[out[:, col] == 1] ^= row
+    return out
+
+
+def _bits_matrix(ops, n: int) -> np.ndarray:
+    """Stack the (x | z) bits of Pauli operators as uint8 rows."""
+    return np.array([op.symplectic_bits() for op in ops],
+                    dtype=np.uint8).reshape(len(ops), 2 * n)
+
+
+def _symplectic_products(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Symplectic form mod 2 between every row of a and every row of b.
+
+    The uint8 sums wrap mod 256, which keeps their parity; einsum runs
+    several times faster than matmul on integer operands.
+    """
+    return (np.einsum("ik,jk->ij", a[:, :n], b[:, n:])
+            ^ np.einsum("ik,jk->ij", a[:, n:], b[:, :n])) & 1
 
 
 # -- Pauli operators ------------------------------------------------------
@@ -124,22 +151,6 @@ class PauliOp:
     def symplectic_bits(self) -> np.ndarray:
         return np.concatenate([self.x, self.z])
 
-    def permuted(self, perm: "QubitPermutation") -> "PauliOp":
-        """Conjugate by the qubit permutation (and its single-qubit tags)."""
-        x = np.zeros_like(self.x)
-        z = np.zeros_like(self.z)
-        x[perm.image] = self.x
-        z[perm.image] = self.z
-        op = PauliOp(x, z, self.phase)
-        for q, tag in perm.tags.items():
-            if tag != "H":
-                raise StabilizerError(f"unsupported Clifford tag {tag!r}")
-            nx = op.x.copy()
-            nz = op.z.copy()
-            nx[q], nz[q] = op.z[q], op.x[q]
-            op = PauliOp(nx, nz, op.phase + 2 * int(op.x[q] & op.z[q]))
-        return op
-
 
 @dataclass(frozen=True)
 class QubitPermutation:
@@ -176,6 +187,21 @@ class QubitPermutation:
     def is_identity(self) -> bool:
         return not self.tags and bool(np.all(self.image == np.arange(self.n)))
 
+    def permute_bits(self, bits: np.ndarray) -> np.ndarray:
+        """Conjugate each (x | z) row of bits by the permutation and tags."""
+        n = self.n
+        out = np.zeros_like(bits)
+        out[:, self.image] = bits[:, :n]
+        out[:, n + self.image] = bits[:, n:]
+        for tag in self.tags.values():
+            if tag != "H":
+                raise StabilizerError(f"unsupported Clifford tag {tag!r}")
+        if self.tags:
+            tagged = np.fromiter(self.tags, dtype=np.int64)
+            out[:, tagged], out[:, n + tagged] = \
+                out[:, n + tagged], out[:, tagged]
+        return out
+
 
 # -- stabilizer codes -----------------------------------------------------
 
@@ -192,16 +218,16 @@ class StabilizerCode:
         for g in self.generators:
             if g.n != self.n:
                 raise StabilizerError("generator size mismatch")
-        for i, gi in enumerate(self.generators):
-            for gj in self.generators[i + 1:]:
-                if not gi.commutes_with(gj):
-                    raise StabilizerError(
-                        f"generators do not commute: {i}")
-        flat = [op for pair in self.logical_pairs for op in pair]
-        for op in flat:
-            for g in self.generators:
-                if not op.commutes_with(g):
-                    raise StabilizerError("logical fails to commute with group")
+        gens = self.generator_matrix
+        # Gram matrix X Zt + Z Xt = P + Pt with P = X Zt: one product.
+        p = np.einsum("ik,jk->ij", gens[:, :self.n], gens[:, self.n:])
+        clash = np.triu((p ^ p.T) & 1, 1).any(axis=1)
+        if clash.any():
+            raise StabilizerError(
+                f"generators do not commute: {int(np.argmax(clash))}")
+        logicals = _bits_matrix(self.logical_ops(), self.n)
+        if _symplectic_products(logicals, gens, self.n).any():
+            raise StabilizerError("logical fails to commute with group")
         for i, (xi, zi) in enumerate(self.logical_pairs):
             if xi.commutes_with(zi):
                 raise StabilizerError(f"logical pair {i} commutes")
@@ -215,19 +241,34 @@ class StabilizerCode:
                 f"rank gives k={self.k}, but {len(self.logical_pairs)} "
                 "logical pairs supplied")
 
-    @property
+    @cached_property
     def generator_matrix(self) -> np.ndarray:
-        if not self.generators:
-            return np.zeros((0, 2 * self.n), dtype=np.uint8)
-        return np.stack([g.symplectic_bits() for g in self.generators])
+        """(x | z) rows of the generators; read-only, as every check
+        shares this one copy."""
+        mat = _bits_matrix(self.generators, self.n)
+        mat.flags.writeable = False
+        return mat
+
+    @cached_property
+    def _echelon(self) -> tuple[np.ndarray, list[int]]:
+        """Reduced echelon rows and pivots of the generator matrix.
+
+        Computed once per code; rank and every membership test reuse it.
+        """
+        return gf2_row_reduce(self.generator_matrix)
 
     @property
     def k(self) -> int:
-        return self.n - gf2_rank(self.generator_matrix)
+        return self.n - self._echelon[0].shape[0]
+
+    def _residues(self, bits: np.ndarray) -> np.ndarray:
+        """Rows of bits with the stabilizer span eliminated; a zero row is
+        a member of the group (up to phase)."""
+        return _gf2_residues(*self._echelon, bits)
 
     def contains(self, op: PauliOp) -> bool:
         """Membership in the stabilizer group, ignoring phases."""
-        return gf2_in_span(self.generator_matrix, op.symplectic_bits())
+        return not self._residues(op.symplectic_bits()[None, :]).any()
 
     def logical_ops(self) -> list[PauliOp]:
         return [op for pair in self.logical_pairs for op in pair]
@@ -619,11 +660,10 @@ def _edge_map_to_perm(code: StabilizerCode, mapper, name: str,
 
 def _assert_automorphism(code: StabilizerCode, perm: QubitPermutation,
                          name: str) -> None:
-    mat = code.generator_matrix
-    for g in code.generators:
-        if not gf2_in_span(mat, g.permuted(perm).symplectic_bits()):
-            raise StabilizerError(
-                f"move {name!r} does not normalize the stabilizer group")
+    images = perm.permute_bits(code.generator_matrix)
+    if code._residues(images).any():
+        raise StabilizerError(
+            f"move {name!r} does not normalize the stabilizer group")
 
 
 def _torus_moves(L: int):
@@ -754,29 +794,20 @@ def geometric_permutation(code: StabilizerCode, move: str,
 # -- logical action -------------------------------------------------------
 
 
-def _symplectic_pairing(a: PauliOp, b: PauliOp) -> int:
-    return int(np.sum(a.x & b.z) + np.sum(a.z & b.x)) % 2
-
-
 def logical_action(code: StabilizerCode, perm: QubitPermutation) -> dict:
     """2k x 2k GF(2) symplectic matrix of a normalizing permutation."""
     _assert_automorphism(code, perm, perm.name or "perm")
-    logicals = code.logical_ops()
-    twok = len(logicals)
-    action = np.zeros((twok, twok), dtype=np.uint8)
-    mat = code.generator_matrix
-    for col, gen in enumerate(logicals):
-        img = gen.permuted(perm)
-        resid = img
-        for row in range(twok):
-            partner = logicals[row ^ 1]
-            coeff = _symplectic_pairing(img, partner)
-            action[row, col] = coeff
-            if coeff:
-                resid = resid * logicals[row]
-        if not gf2_in_span(mat, resid.symplectic_bits()):
-            raise StabilizerError(
-                "conjugated logical is not expressible over the tableau")
+    logicals = _bits_matrix(code.logical_ops(), code.n)
+    twok = logicals.shape[0]
+    images = perm.permute_bits(logicals)
+    # Column j holds the coordinates of image j: its pairing with each
+    # logical's partner in the (X1, Z1, X2, Z2, ...) order.
+    partners = logicals[np.arange(twok) ^ 1]
+    action = _symplectic_products(partners, images, code.n)
+    resid = images ^ (action.T @ logicals) % 2
+    if code._residues(resid).any():
+        raise StabilizerError(
+            "conjugated logical is not expressible over the tableau")
     lam = _symplectic_form(twok)
     if np.any((action.T @ lam @ action) % 2 != lam):
         raise StabilizerError("extracted action is not symplectic")

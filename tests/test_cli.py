@@ -2,10 +2,13 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from qorigami import anyons, interferometry
+import qorigami
+from qorigami import anyons, cli, interferometry
 from qorigami.cli import main
 
 
@@ -174,6 +177,36 @@ class TestStabilizer:
              "--move", "reflect_diagonal"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [{"max_dim": "x"},
+                                     {"stabilizer_max_lattice": 4.5},
+                                     [["max_dim", 64]]])
+    def test_malformed_config_is_usage_error(self, doc, tmp_path, capsys,
+                                             monkeypatch):
+        cfg = tmp_path / "caps.json"
+        cfg.write_text(json.dumps(doc))
+        monkeypatch.setenv("ORIGAMI_SIM_CONFIG", str(cfg))
+        code, out, err = run_json(
+            ["stabilizer", "verify", "--lattice", "2",
+             "--move", "reflect_diagonal"], capsys)
+        assert code == 2 and out is None
+        assert "config" in json.loads(err)["error"]
+
+    def test_caps_read_once_per_job_and_on_every_job(self, tmp_path, capsys,
+                                                     monkeypatch):
+        calls = []
+        load = cli.load_caps
+        monkeypatch.setattr(cli, "load_caps",
+                            lambda: calls.append(1) or load())
+        argv = ["stabilizer", "verify", "--lattice", "3",
+                "--move", "reflect_diagonal"]
+        assert run_json(argv, capsys)[0] == 0
+        assert len(calls) == 1
+        cfg = tmp_path / "caps.json"
+        cfg.write_text(json.dumps({"stabilizer_max_lattice": 2}))
+        monkeypatch.setenv("ORIGAMI_SIM_CONFIG", str(cfg))
+        assert run_json(argv, capsys)[0] == 2
+        assert len(calls) == 2
+
 
 class TestMeasure:
     def test_identity_suite(self, capsys):
@@ -227,6 +260,21 @@ class TestMeasure:
         assert code == 2
         assert "missing" in err
 
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_extract_record_without_value_is_usage_error(
+            self, field, tmp_path, capsys):
+        model = anyons.builtin_model("toric_code")
+        meas = interferometry.synthetic_measurements(model)
+        records = [interferometry.MeasurementRecord(k, v).to_dict()
+                   for k, v in meas.items()]
+        del records[0][field]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({"model": "toric_code",
+                                    "records": records}))
+        code, out, err = run_json(["measure", "extract", str(path)], capsys)
+        assert code == 2 and out is None
+        assert field in json.loads(err)["error"]
+
     def test_missing_input_file(self, capsys):
         code, _, err = run_json(
             ["measure", "extract", "/nonexistent/input.json"], capsys)
@@ -251,3 +299,16 @@ class TestReportShape:
         code, report, _ = run_json(["models", "verify", str(path)], capsys)
         assert code == 1
         assert report["overall"] == "fail"
+
+
+def test_module_entry_point_runs_main():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qorigami.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qorigami.cli", "list", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+    assert json.loads(proc.stdout)["overall"] == "pass"

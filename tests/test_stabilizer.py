@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qorigami import anyons
+from qorigami import anyons, cli
 from qorigami import stabilizer as stab
 from qorigami.stabilizer import (
     PauliOp,
@@ -39,6 +39,47 @@ def test_gf2_rank_and_span():
     assert not gf2_in_span(m, np.array([1, 1, 1], dtype=np.uint8))
 
 
+def _reference_rank(rows) -> int:
+    """GF(2) rank by a basis of Python-int bit masks keyed by leading bit."""
+    basis = {}
+    for row in rows:
+        word = int("".join(str(int(b) % 2) for b in row) or "0", 2)
+        while word:
+            lead = word.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = word
+                break
+            word ^= basis[lead]
+    return len(basis)
+
+
+_matrices = st.integers(1, 6).flatmap(lambda cols: st.tuples(
+    st.lists(st.lists(st.integers(0, 3), min_size=cols, max_size=cols),
+             max_size=6),
+    st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+             min_size=1, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices)
+def test_gf2_paths_agree_with_rank_comparison(data):
+    rows, vecs = data
+    cols = len(vecs[0])
+    mat = np.array(rows, dtype=np.uint8).reshape(len(rows), cols)
+    vecs = np.array(vecs, dtype=np.uint8)
+    base = _reference_rank(mat)
+    # Definition: vec is in the row span iff appending it keeps the rank.
+    want = [_reference_rank(list(mat) + [v]) == base for v in vecs]
+    assert gf2_rank(mat) == base
+    assert [gf2_in_span(mat, v) for v in vecs] == want
+    echelon, pivots = stab.gf2_row_reduce(mat)
+    resid = stab._gf2_residues(echelon, pivots, vecs)
+    assert [not r.any() for r in resid] == want
+    # Each residue differs from its vector by an element of the span.
+    for v, r in zip(vecs, resid):
+        assert _reference_rank(list(mat) + [v ^ r]) == base
+
+
 def test_pauli_string_roundtrip():
     op = PauliOp.from_string("XIZY")
     assert op.to_string() == "XIZY"
@@ -68,6 +109,15 @@ def test_commutation_is_symplectic_form(x1, z1, x2, z2):
     b = PauliOp(np.array(x2), np.array(z2))
     form = (np.dot(x1, z2) + np.dot(z1, x2)) % 2
     assert a.commutes_with(b) == (form == 0)
+
+
+def test_permute_bits_applies_hadamard_tags_after_the_permutation():
+    bits = PauliOp.from_string("XZI").symplectic_bits()[None, :]
+    perm = QubitPermutation([1, 2, 0], tags={2: "H"})
+    out = perm.permute_bits(bits)[0]
+    assert PauliOp(out[:3], out[3:]).to_string() == "IXX"
+    with pytest.raises(StabilizerError, match="unsupported Clifford tag"):
+        QubitPermutation([0, 1, 2], tags={0: "S"}).permute_bits(bits)
 
 
 def test_permutation_validation():
@@ -153,6 +203,52 @@ def test_action_is_a_homomorphism_on_moves():
     assert np.array_equal(a12, (a1 @ a2) % 2)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 17), st.integers(0, 17))
+def test_random_transposition_is_not_an_automorphism(a, b):
+    code = build_toric_torus(3)
+    image = np.arange(code.n)
+    image[[a, b]] = image[[b, a]]
+    perm = QubitPermutation(image, name="transposition")
+    if a == b:
+        assert logical_action(code, perm)["k"] == 2
+        return
+    with pytest.raises(StabilizerError, match="does not normalize"):
+        logical_action(code, perm)
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_non_commuting_generators_rejected_with_first_index(position):
+    torus = build_toric_torus(3)
+    z = np.zeros(torus.n, dtype=np.uint8)
+    z[4] = 1
+    bad = PauliOp(np.zeros(torus.n, dtype=np.uint8), z)
+    gens = ((bad,) + torus.generators if position == "first"
+            else torus.generators + (bad,))
+    # The first generator that fails to commute with a later one.
+    first = next(i for i, g in enumerate(gens)
+                 if any(not g.commutes_with(h) for h in gens[i + 1:]))
+    with pytest.raises(StabilizerError,
+                       match=f"generators do not commute: {first}$"):
+        stab.StabilizerCode(torus.n, gens, torus.logical_pairs,
+                            torus.qubit_coords)
+    assert (first == 0) == (position == "first")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stabilizer", "verify", "--lattice", "4"],
+    ["stabilizer", "genon", "--L", "6"],
+])
+def test_one_row_reduction_per_job(argv, monkeypatch, capsys):
+    calls = []
+    reduce_ = stab.gf2_row_reduce
+    monkeypatch.setattr(stab, "gf2_row_reduce",
+                        lambda mat: calls.append(mat.shape) or reduce_(mat))
+    assert cli.main(argv + ["--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_unknown_move_rejected():
     code = build_toric_torus(2)
     with pytest.raises(StabilizerError):
@@ -220,6 +316,12 @@ def test_mirror_alone_moves_the_cuts():
     code = build_bilayer_genon_code(6)
     with pytest.raises(StabilizerError):
         protocol_action(code, ["reflect_antidiagonal"])
+
+
+def test_patch_swap_alone_does_not_normalize():
+    code = build_bilayer_genon_code(6)
+    with pytest.raises(StabilizerError, match="does not normalize"):
+        protocol_action(code, ["patch_layer_swap"])
 
 
 def test_empty_protocol_is_identity():

@@ -17,10 +17,12 @@ against a configurable rewrite budget.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import mcg
 
@@ -85,7 +87,6 @@ class AffineMap:
 IDENTITY = AffineMap.make(1, 0, 0, 1)
 
 _OFFSETS = (0, 1, -1, 2, -2)
-_INVERSE_CACHE: dict = {}
 _PROBE_CACHE: dict = {}
 
 
@@ -173,6 +174,21 @@ def _point_in_convex(p, poly) -> bool:
     return True
 
 
+def _rows_agree(rows, x, y, q) -> bool:
+    """Sign test of _point_in_convex on integer edge rows (see locate)."""
+    sign = 0
+    for a, b, c in rows:
+        cross = a * x + b * y + c * q
+        if cross == 0:
+            continue
+        s = 1 if cross > 0 else -1
+        if sign == 0:
+            sign = s
+        elif s != sign:
+            return False
+    return True
+
+
 def _clip_convex(poly, px, py, nx, ny):
     """Keep the part of the convex polygon with n·(p - p0) <= 0."""
     out = []
@@ -236,22 +252,51 @@ class FoldGeometry:
         return self.regions[name]
 
     def locate(self, p):
-        """First folded (layer, lattice shift) covering a base point."""
-        for layer in range(1, self.layers + 1):
-            inv = self._chart_inverses()[layer - 1]
+        """First folded (layer, lattice shift) covering a base point.
+
+        Layers are tried in order, and within a layer the shifts in
+        _OFFSETS order; a shift covers p when the chart's inverse maps
+        p + shift into the footprint, boundary included.
+        """
+        x, y = Fraction(p[0]), Fraction(p[1])
+        q = math.lcm(x.denominator, y.denominator)
+        nx = x.numerator * (q // x.denominator)
+        ny = y.numerator * (q // y.denominator)
+        for layer, rows in enumerate(self._sheet_rows, start=1):
             for tx in _OFFSETS:
+                sx = nx + q * tx
                 for ty in _OFFSETS:
-                    v = inv.apply((p[0] + tx, p[1] + ty))
-                    if self.contains(v):
+                    if _rows_agree(rows, sx, ny + q * ty, q):
                         return (layer, (tx, ty))
         return None
 
+    @cached_property
+    def _sheet_rows(self):
+        """Per layer, integer edge rows (A, B, C) of the chart's footprint.
+
+        A chart maps the footprint onto a convex polygon in the base, and
+        it maps cross products of the footprint's edge test to the same
+        products times its determinant.  So p + shift lies in the
+        footprint after the inverse chart iff A X + B Y + C q never takes
+        both signs over the rows of the image polygon, where (X, Y) =
+        q (p + shift) are integers.  This is _point_in_convex in exact
+        integer arithmetic, without applying the inverse per candidate.
+        """
+        out = []
+        for chart in self.charts:
+            poly = [chart.apply(v) for v in self.footprint]
+            den = math.lcm(*(c.denominator for v in poly for c in v))
+            pts = [(int(vx * den), int(vy * den)) for vx, vy in poly]
+            rows = []
+            for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
+                rows.append(((y1 - y2) * den, (x2 - x1) * den,
+                             (y2 - y1) * x1 - (x2 - x1) * y1))
+            out.append(tuple(rows))
+        return tuple(out)
+
+    @cached_property
     def _chart_inverses(self):
-        cached = _INVERSE_CACHE.get(id(self))
-        if cached is None:
-            cached = tuple(m.inverse() for m in self.charts)
-            _INVERSE_CACHE[id(self)] = cached
-        return cached
+        return tuple(m.inverse() for m in self.charts)
 
     def to_json(self) -> str:
         def frac(x):
@@ -552,7 +597,7 @@ def fold_base_path(g: FoldGeometry, points, subdivisions: int = 60,
             if hit is None:
                 raise OrigamiError(f"point {mid} not covered by any chart")
             layer, (tx, ty) = hit
-            inv = g._chart_inverses()[layer - 1]
+            inv = g._chart_inverses[layer - 1]
             offset = ((wrapped[0] + tx) - mid[0], (wrapped[1] + ty) - mid[1])
             start = (p0[0] + (p1[0] - p0[0]) * t_s + offset[0],
                      p0[1] + (p1[1] - p0[1]) * t_s + offset[1])

@@ -370,6 +370,29 @@ class TestGeometryInvariants:
                      Fraction(rng.randrange(1, 89), 89))
                 assert g.locate(p) is not None
 
+    def test_locate_matches_inverse_chart_test(self):
+        # Small denominators put many points on chart edges and vertices,
+        # where the first covering (layer, shift) depends on boundary rules.
+        def reference(g, p):
+            for layer in range(1, g.layers + 1):
+                inv = g.chart(layer).inverse()
+                for tx in origami._OFFSETS:
+                    for ty in origami._OFFSETS:
+                        v = inv.apply((p[0] + tx, p[1] + ty))
+                        if g.contains(v):
+                            return (layer, (tx, ty))
+            return None
+
+        rng = random.Random(17)
+        for name in ("appB_8layer_S", "appC_hexagon_RaS", "appD_bilayer_C",
+                     "appE_12layer_C", "fig2_fold2_RaS", "fig3_genon4_RaS"):
+            g = builtin_protocol(name).geometry
+            for _ in range(60):
+                den = rng.choice((2, 3, 4, 6, 8, 12, 97))
+                p = (Fraction(rng.randrange(den), den),
+                     Fraction(rng.randrange(den), den))
+                assert g.locate(p) == reference(g, p), (name, p)
+
     def test_orientation_flags_split_evenly(self):
         for name in ("appB_8layer_S", "appE_12layer_C", "appD_4layer_C"):
             g = builtin_protocol(name).geometry

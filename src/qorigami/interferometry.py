@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm, logm
@@ -54,6 +55,10 @@ class FockSystem:
 
     @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
+        return self._basis
+
+    @cached_property
+    def _basis(self) -> tuple[tuple[int, ...], ...]:
         states = []
         for occ in itertools.product(range(self.cutoff + 1),
                                      repeat=self.n_modes):
@@ -68,6 +73,11 @@ class FockSystem:
         return len(self.basis)
 
     def index(self) -> dict:
+        """Basis position of each occupation tuple; shared, do not mutate."""
+        return self._index
+
+    @cached_property
+    def _index(self) -> dict:
         return {occ: i for i, occ in enumerate(self.basis)}
 
     def mode(self, site: int, layer: int) -> int:
@@ -123,17 +133,16 @@ class FockSystem:
 
 def permutation_unitary(sys: FockSystem, mode_perm: dict) -> np.ndarray:
     """Unitary permuting mode occupations per the given mode mapping."""
-    idx = self_index = sys.index()
+    idx = sys.index()
     u = np.zeros((sys.dim, sys.dim), dtype=complex)
     for i, occ in enumerate(sys.basis):
         target = list(occ)
         for src, dst in mode_perm.items():
             target[dst] = occ[src]
-        j = self_index.get(tuple(target))
+        j = idx.get(tuple(target))
         if j is None:
             raise InterferometryError("mode permutation leaves the basis")
         u[j, i] = 1.0
-    del idx
     return u
 
 

@@ -22,7 +22,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import mcg
 
@@ -87,7 +87,6 @@ class AffineMap:
 IDENTITY = AffineMap.make(1, 0, 0, 1)
 
 _OFFSETS = (0, 1, -1, 2, -2)
-_PROBE_CACHE: dict = {}
 
 
 def reflection(px, py, dx, dy) -> AffineMap:
@@ -298,6 +297,20 @@ class FoldGeometry:
     def _chart_inverses(self):
         return tuple(m.inverse() for m in self.charts)
 
+    @cached_property
+    def _probes(self):
+        """Folded probe loops, horizontal and vertical at three offsets,
+        built once with no rewrite limit (see _probe_paths)."""
+        probes = []
+        for off in (Fraction(1, 7), Fraction(2, 7), Fraction(5, 11)):
+            probes.append(fold_base_path(
+                self, [(Fraction(0), off), (Fraction(1), off)],
+                budget=math.inf))
+            probes.append(fold_base_path(
+                self, [(off, Fraction(0)), (off, Fraction(1))],
+                budget=math.inf))
+        return tuple(probes)
+
     def to_json(self) -> str:
         def frac(x):
             return str(Fraction(x))
@@ -359,7 +372,7 @@ class LoopPath:
 # -- geometry builders ----------------------------------------------------
 
 
-def _edge_pairings(geometry_charts, footprint, names):
+def _edge_pairings(geometry_charts, names):
     """Layer pairings on each named footprint edge: layers whose charts
     agree pointwise (mod lattice) on the edge are crease partners."""
     pairs = []
@@ -437,16 +450,12 @@ def fold(g: FoldGeometry, axis, keep=None) -> FoldGeometry:
     charts = list(g.charts) + [None] * old
     for l in range(1, old + 1):
         charts[2 * old - l] = g.chart(l).after(mirror)
-    geometry = FoldGeometry(
-        base=g.base, layers=2 * old, charts=tuple(charts), footprint=kept,
+    charts = tuple(charts)
+    return FoldGeometry(
+        base=g.base, layers=2 * old, charts=charts, footprint=kept,
+        boundary_pairings=_edge_pairings(charts, _footprint_edges(kept)),
         branch_cuts=g.branch_cuts,
         metadata=dict(g.metadata, folds=g.metadata.get("folds", 0) + 1))
-    edges = _footprint_edges(kept)
-    pairings = _edge_pairings(geometry.charts, kept, edges)
-    return FoldGeometry(
-        base=geometry.base, layers=geometry.layers, charts=geometry.charts,
-        footprint=kept, boundary_pairings=pairings,
-        branch_cuts=g.branch_cuts, metadata=geometry.metadata)
 
 
 def _footprint_edges(poly):
@@ -496,7 +505,7 @@ def genon4_geometry() -> FoldGeometry:
         base="planar_bilayer_genons", layers=4, charts=charts,
         footprint=tri, regions=regions,
         branch_cuts=(("cut_1", "(1,2)(3,4)"), ("cut_2", "(1,4)(2,3)")),
-        boundary_pairings=_edge_pairings(charts, tri, _footprint_edges(tri)),
+        boundary_pairings=_edge_pairings(charts, _footprint_edges(tri)),
         metadata={"layer_order": "sheet-major, not the accordion order "
                                  "that fold() would assign"})
     return geometry
@@ -583,8 +592,6 @@ def fold_base_path(g: FoldGeometry, points, subdivisions: int = 60,
     the budget.
     """
     segments = []
-    rewrites = 0
-    prev_layer = None
     for p0, p1 in zip(points, points[1:]):
         for k in range(subdivisions):
             t_mid = Fraction(2 * k + 1, 2 * subdivisions)
@@ -604,14 +611,16 @@ def fold_base_path(g: FoldGeometry, points, subdivisions: int = 60,
             end = (p0[0] + (p1[0] - p0[0]) * t_e + offset[0],
                    p0[1] + (p1[1] - p0[1]) * t_e + offset[1])
             segments.append((inv.apply(start), inv.apply(end), layer))
-            if prev_layer is not None and layer != prev_layer:
-                rewrites += 1
-                if rewrites > budget:
-                    raise RewriteBudgetError(
-                        f"folding used more than {budget} partner-layer "
-                        "rewrites")
-            prev_layer = layer
-    return LoopPath(tuple(segments))
+    return _check_rewrites(LoopPath(tuple(segments)), budget)
+
+
+def _check_rewrites(path: LoopPath, budget) -> LoopPath:
+    """Raise if the path changes layer between segments over budget times."""
+    layers = [layer for _, _, layer in path.segments]
+    if sum(a != b for a, b in zip(layers, layers[1:])) > budget:
+        raise RewriteBudgetError(
+            f"folding used more than {budget} partner-layer rewrites")
+    return path
 
 
 def reference_loops(g: FoldGeometry, budget: int = 64):
@@ -717,18 +726,10 @@ def check_transversal(steps, g: FoldGeometry) -> bool:
 
 
 def _probe_paths(g: FoldGeometry, budget: int):
-    cached = _PROBE_CACHE.get(id(g))
-    if cached is not None:
-        return cached
-    offsets = [Fraction(1, 7), Fraction(2, 7), Fraction(5, 11)]
-    probes = []
-    for off in offsets:
-        probes.append(fold_base_path(
-            g, [(Fraction(0), off), (Fraction(1), off)], budget=budget))
-        probes.append(fold_base_path(
-            g, [(off, Fraction(0)), (off, Fraction(1))], budget=budget))
-    _PROBE_CACHE[id(g)] = probes
-    return probes
+    """The geometry's probe loops, each checked against the budget."""
+    for probe in g._probes:
+        _check_rewrites(probe, budget)
+    return g._probes
 
 
 def check_closure(steps, g: FoldGeometry, budget: int = 64) -> bool:
@@ -852,12 +853,8 @@ def eightfold_square() -> FoldGeometry:
     return fold(g, "vertical_half")
 
 
-_CATALOG_CACHE: dict = {}
-
-
+@cache
 def _catalog() -> dict:
-    if _CATALOG_CACHE:
-        return _CATALOG_CACHE
     entries = {}
     fold2 = twofold_square()
     entries["fig2_fold2_RaS"] = Protocol(
@@ -923,39 +920,40 @@ def _catalog() -> dict:
         {"stub": True,
          "reason": "sixteen-layer transversal S construction is stated "
                    "without an explicit protocol"})
-    _CATALOG_CACHE.update(entries)
-    return _CATALOG_CACHE
+    return entries
 
 
 def catalog_names() -> list:
     return sorted(_catalog())
 
 
-def builtin_protocol(name: str):
-    """Return (geometry, steps, expected word) for a catalog entry."""
+def builtin_protocol(name: str) -> Protocol:
+    """Return the catalog's Protocol for a named entry."""
     entries = _catalog()
     if name not in entries:
         raise OrigamiError(
             f"unknown protocol {name!r}; known: {', '.join(sorted(entries))}")
-    entry = entries[name]
-    return entry
+    return entries[name]
 
 
 def verify_protocol(entry: Protocol, budget: int = 64,
                     rng: random.Random | None = None) -> dict:
-    """Transversality, closure, and exact trace check for one entry."""
+    """Transversality, closure, and exact trace check for one entry.
+
+    trace_loops checks closure and raises on an open protocol, so a
+    returned report always has "closed" True.
+    """
     if entry.is_stub:
         return {"name": entry.name, "skipped": True,
                 "reason": entry.metadata.get("reason", "stub")}
     transversal = check_transversal(entry.steps, entry.geometry)
-    closed = check_closure(entry.steps, entry.geometry, budget=budget)
     traced = trace_loops(entry.steps, entry.geometry, budget=budget, rng=rng)
     expected = entry.expected_matrix()
     return {
         "name": entry.name,
         "skipped": False,
         "transversal": transversal,
-        "closed": closed,
+        "closed": True,
         "trace": traced.entries(),
         "expected": expected.entries(),
         "match": traced.entries() == expected.entries(),

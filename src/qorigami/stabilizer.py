@@ -834,7 +834,7 @@ def protocol_action(code: StabilizerCode, steps) -> dict:
         elif isinstance(step, tuple):
             perm = geometric_permutation(code, step[0], region=step[1])
         else:
-            perm = _resolve_step(code, step)
+            perm = geometric_permutation(code, step)
         composite = perm.compose(composite)
     composite = QubitPermutation(
         composite.image, name="+".join(_step_name(s) for s in steps) or "identity")
@@ -847,21 +847,6 @@ def _step_name(step) -> str:
     if isinstance(step, tuple):
         return step[0]
     return str(step)
-
-
-def _resolve_step(code: StabilizerCode, name: str) -> QubitPermutation:
-    kind = code.metadata.get("kind")
-    if kind == "bilayer_genon" and name == "reflect_antidiagonal":
-        L = code.metadata["L"]
-        mapper = _genon_edge_mapper(L, _genon_point_moves(L)[name])
-        image = np.empty(code.n, dtype=np.int64)
-        index = {coord: q for q, coord in code.qubit_coords.items()}
-        for q, coord in code.qubit_coords.items():
-            image[q] = index[mapper(coord)]
-        return QubitPermutation(image, name=name)
-    if kind == "bilayer_genon" and name == "patch_layer_swap":
-        return geometric_permutation(code, name, region="central_square")
-    return geometric_permutation(code, name)
 
 
 NAMED_PROTOCOLS = {

@@ -16,7 +16,8 @@ from qorigami.origami import (
     RewriteBudgetError, builtin_protocol, catalog_names, check_closure,
     check_transversal, compose_protocols, cycle_decomposition, fold,
     fold_base_path, format_cycles, parse_cycles, reference_loops,
-    reflection, square_torus, trace_loops, unfold_class, verify_protocol,
+    reflection, square_torus, trace_loops, twofold_square, unfold_class,
+    verify_protocol,
 )
 
 
@@ -158,6 +159,37 @@ class TestCatalog:
         for name in EXPECTED_TRACES:
             entry = builtin_protocol(name)
             assert entry.expected_matrix().entries() == EXPECTED_TRACES[name]
+
+    def test_verify_checks_closure_once(self, monkeypatch):
+        calls = []
+        check = origami.check_closure
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(origami, "check_closure", counted)
+        report = verify_protocol(builtin_protocol("appB_8layer_S"))
+        assert report["closed"] is True
+        assert len(calls) == 1
+
+    def test_probe_paths_are_built_once_per_geometry(self, monkeypatch):
+        entry = builtin_protocol("appE_4layer_RbS")
+        verify_protocol(entry)
+        calls = []
+        build = origami.fold_base_path
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(origami, "fold_base_path", counted)
+        warm = verify_protocol(entry)
+        assert calls == []
+        clone = Protocol.from_json(entry.to_json())
+        assert verify_protocol(clone) == warm
+        assert len(calls) == 6
+        assert all(args[0] is clone.geometry for args in calls)
 
 
 class TestCycleDecomposition:
@@ -312,6 +344,15 @@ class TestTracing:
         with pytest.raises(RewriteBudgetError):
             fold_base_path(g, [(Fraction(0), Fraction(1, 7)),
                                (Fraction(1), Fraction(1, 7))], budget=2)
+
+    def test_zero_budget_raises_on_cold_and_warm_geometry(self):
+        steps = builtin_protocol("fig2_fold2_RaS").steps
+        g = twofold_square()
+        with pytest.raises(RewriteBudgetError):
+            trace_loops(steps, g, budget=0)
+        trace_loops(steps, g)
+        with pytest.raises(RewriteBudgetError):
+            trace_loops(steps, g, budget=0)
 
     def test_reversed_path_negates_class(self):
         g = builtin_protocol("fig3_genon4_RaS").geometry

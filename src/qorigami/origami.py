@@ -4,22 +4,22 @@ A geometry is a folded footprint polygon together with one exact affine
 chart per layer mapping the footprint into a base torus (square, hexagon
 in lattice coordinates, or a genon double cover presented as a torus
 quotient).  Layer-permutation protocols are verified by pushing reference
-loops through every step, rewriting the image paths to normal form, and
-reading off the induced action on the homology basis as an exact integer
-matrix.
+loops through every step, gluing the unfolded image paths in the universal
+cover, and reading off the induced action on the homology basis as an
+exact integer matrix.
 
-Two rewrite rules drive normalization: a closed sub-loop whose lift has
-zero winding is deleted (this covers the double loop around a single
-genon), and a segment is rewritten into the partner layer across a crease
-whenever the traced path crosses one (chart transitions).  Both count
-against a configurable rewrite budget.
+Partner-layer rewrites are the only rewrite rule: a segment is rewritten
+into the partner layer across a crease whenever the folded path crosses
+one (chart transitions), against a configurable budget.  Gluing sums the
+segments' image displacements in exact integers, so a zero-winding detour
+(the double loop around a single genon) adds nothing to the class.
 """
 from __future__ import annotations
 
 import json
 import math
-import random
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -32,7 +32,19 @@ class OrigamiError(ValueError):
 
 
 class RewriteBudgetError(OrigamiError):
-    """Raised when path normalization exceeds the rewrite budget."""
+    """Raised when a folded path needs more rewrites than the budget."""
+
+
+@contextmanager
+def _document(kind: str):
+    """Raise OrigamiError for a malformed JSON document."""
+    try:
+        yield
+    except OrigamiError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as err:
+        raise OrigamiError(f"malformed {kind} document: {err!r}") from err
 
 
 # -- exact affine maps ----------------------------------------------------
@@ -294,6 +306,13 @@ class FoldGeometry:
         return tuple(out)
 
     @cached_property
+    def _int_charts(self):
+        """(den, rows): chart coefficients (a, b, c, d, e, f) times lcd den."""
+        coeffs = [(m.a, m.b, m.c, m.d, m.e, m.f) for m in self.charts]
+        den = math.lcm(*(v.denominator for row in coeffs for v in row))
+        return den, tuple(tuple(int(v * den) for v in row) for row in coeffs)
+
+    @cached_property
     def _chart_inverses(self):
         return tuple(m.inverse() for m in self.charts)
 
@@ -330,6 +349,7 @@ class FoldGeometry:
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
+    @_document("geometry")
     def from_json(cls, text: str) -> "FoldGeometry":
         doc = json.loads(text)
         charts = tuple(AffineMap.make(*[Fraction(v) for v in row])
@@ -358,11 +378,37 @@ class ProtocolStep:
         return format_cycles(self.perm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LoopPath:
-    """Directed folded path: ((start, end, layer), ...) segment tuples."""
+    """Directed folded path: per segment, sx, sy, ex, ey in `ends` as
+    integers over one denominator q, and its layer in `layers`.  Built
+    from, and `segments` returns, ((start, end, layer), ...) tuples of
+    exact rationals."""
 
-    segments: tuple
+    q: int
+    ends: tuple
+    layers: tuple
+
+    def __init__(self, segments):
+        coords = [c for s, e, _ in segments for c in (*s, *e)]
+        q = math.lcm(*(c.denominator for c in coords))
+        ends = tuple(c.numerator * (q // c.denominator) for c in coords)
+        layers = tuple(layer for _, _, layer in segments)
+        self.__dict__.update(q=q, ends=ends, layers=layers)
+
+    @classmethod
+    def _of(cls, q, ends, layers) -> "LoopPath":
+        path = object.__new__(cls)
+        path.__dict__.update(q=q, ends=ends, layers=layers)
+        return path
+
+    @property
+    def segments(self) -> tuple:
+        q, it = self.q, iter(self.ends)
+        return tuple(((Fraction(sx, q), Fraction(sy, q)),
+                      (Fraction(ex, q), Fraction(ey, q)), layer)
+                     for layer, sx, sy, ex, ey in zip(self.layers,
+                                                      it, it, it, it))
 
     def reversed_path(self) -> "LoopPath":
         return LoopPath(tuple((e, s, l)
@@ -616,8 +662,7 @@ def fold_base_path(g: FoldGeometry, points, subdivisions: int = 60,
 
 def _check_rewrites(path: LoopPath, budget) -> LoopPath:
     """Raise if the path changes layer between segments over budget times."""
-    layers = [layer for _, _, layer in path.segments]
-    if sum(a != b for a, b in zip(layers, layers[1:])) > budget:
+    if sum(a != b for a, b in zip(path.layers, path.layers[1:])) > budget:
         raise RewriteBudgetError(
             f"folding used more than {budget} partner-layer rewrites")
     return path
@@ -625,91 +670,53 @@ def _check_rewrites(path: LoopPath, budget) -> LoopPath:
 
 def reference_loops(g: FoldGeometry, budget: int = 64):
     """Folded images of the homology basis loops alpha and beta."""
-    probes = _probe_paths(g, budget)
-    return probes[0], probes[1]
+    return _probe_paths(g, budget)[:2]
 
 
 def apply_protocol(g: FoldGeometry, steps, path: LoopPath) -> LoopPath:
-    """Relabel path layers step by step, honoring region restrictions."""
-    segments = list(path.segments)
+    """Relabel path layers step by step, honoring region restrictions
+    (by segment midpoint); the result shares the input's `ends`."""
+    layers = path.layers
     for step in steps:
         if step.kind != "layer_perm":
             raise OrigamiError(
                 "only layer permutations can act on traced paths")
-        poly = g.region_polygon(step.region)
-        out = []
-        for (s, e, layer) in segments:
-            mid = ((s[0] + e[0]) / 2, (s[1] + e[1]) / 2)
-            inside = step.region == "ALL" or _point_in_convex(mid, poly)
-            out.append((s, e, step.perm[layer] if inside else layer))
-        segments = out
-    return LoopPath(tuple(segments))
-
-
-def unfold_class(g: FoldGeometry, path: LoopPath, budget: int = 64,
-                 rng: random.Random | None = None):
-    """Glue the unfolded path in the universal cover and return (p, q).
-
-    Normalization first deletes closed zero-winding sub-loops (the double
-    loop around a single genon is the generating case), then reads the
-    total lattice displacement.  Returns None if the image is not a
-    closed loop (protocol not closed).
-    """
-    pieces = []
-    for (s, e, layer) in path.segments:
-        chart = g.chart(layer)
-        pieces.append((chart.apply(s), chart.apply(e)))
-    start = cur = None
-    glued = []
-    for (ps, pe) in pieces:
-        if cur is None:
-            start, cur = ps, pe
-            glued.append((ps, pe))
+        if step.region == "ALL":
+            layers = tuple(map(step.perm.__getitem__, layers))
             continue
-        tx, ty = cur[0] - ps[0], cur[1] - ps[1]
-        if tx.denominator != 1 or ty.denominator != 1:
-            return None
-        cur = (pe[0] + tx, pe[1] + ty)
-        glued.append(((ps[0] + tx, ps[1] + ty), cur))
-    dx, dy = cur[0] - start[0], cur[1] - start[1]
-    if dx.denominator != 1 or dy.denominator != 1:
+        poly = g.region_polygon(step.region)
+        two_q, it = 2 * path.q, iter(path.ends)
+        layers = tuple(
+            step.perm[layer] if _point_in_convex(
+                (Fraction(sx + ex, two_q), Fraction(sy + ey, two_q)), poly)
+            else layer
+            for layer, sx, sy, ex, ey in zip(layers, it, it, it, it))
+    return LoopPath._of(path.q, path.ends, layers)
+
+
+def unfold_class(g: FoldGeometry, path: LoopPath):
+    """Glue the unfolded path in the universal cover; return (dx, dy).
+
+    Chart images are integers over den * path.q, so the lattice is the
+    multiples of that.  Each segment must start congruent, modulo the
+    lattice, to where the one before it ends (the first to where the last
+    ends); the class is the sum of the image displacements.  Returns None
+    if the image is not a closed loop (protocol not closed).
+    """
+    den, charts = g._int_charts
+    q, it = path.q, iter(path.ends)
+    lattice = den * q
+    images = []
+    for layer, sx, sy, ex, ey in zip(path.layers, it, it, it, it):
+        a, b, c, d, e, f = charts[layer - 1]
+        images.append((a * sx + b * sy + e * q, c * sx + d * sy + f * q,
+                       a * ex + b * ey + e * q, c * ex + d * ey + f * q))
+    pairs = zip(images[-1:] + images, images)
+    if any((sx - ex) % lattice or (sy - ey) % lattice
+           for (_, _, ex, ey), (sx, sy, _, _) in pairs):
         return None
-    _delete_null_subloops(glued, budget, rng)
-    return (int(dx), int(dy))
-
-
-def _delete_null_subloops(glued, budget, rng) -> int:
-    """Remove contiguous sub-loops that close with zero displacement."""
-    deletions = 0
-    changed = True
-    while changed:
-        changed = False
-        n = len(glued)
-        if n < 2:
-            break
-        order = list(range(n))
-        if rng is not None:
-            rng.shuffle(order)
-        for i in order:
-            n = len(glued)
-            if i >= n:
-                continue
-            for span in range(2, min(n, 24)):
-                j = i + span
-                if j > n:
-                    break
-                if glued[i][0] == glued[j - 1][1]:
-                    del glued[i:j]
-                    deletions += 1
-                    if deletions > budget:
-                        raise RewriteBudgetError(
-                            "null-loop deletion exceeded the rewrite "
-                            f"budget; stuck with {len(glued)} segments")
-                    changed = True
-                    break
-            if changed:
-                break
-    return deletions
+    return (sum(ex - sx for sx, _, ex, _ in images) // lattice,
+            sum(ey - sy for _, sy, _, ey in images) // lattice)
 
 
 def check_transversal(steps, g: FoldGeometry) -> bool:
@@ -740,23 +747,18 @@ def check_closure(steps, g: FoldGeometry, budget: int = 64) -> bool:
         return False
     for probe in _probe_paths(g, budget):
         image = apply_protocol(g, steps, probe)
-        if unfold_class(g, image, budget=budget) is None:
+        if unfold_class(g, image) is None:
             return False
     return True
 
 
-def trace_loops(steps, g: FoldGeometry, budget: int = 64,
-                rng: random.Random | None = None):
+def trace_loops(steps, g: FoldGeometry, budget: int = 64):
     """Induced 2x2 integer homology action of a closed protocol."""
     if not check_closure(steps, g, budget=budget):
         raise OrigamiError("protocol is not closed; cannot trace loops")
     alpha, beta = reference_loops(g, budget=budget)
-    cls_a = unfold_class(g, apply_protocol(g, steps, alpha),
-                         budget=budget, rng=rng)
-    cls_b = unfold_class(g, apply_protocol(g, steps, beta),
-                         budget=budget, rng=rng)
-    if cls_a is None or cls_b is None:
-        raise OrigamiError("traced loop image failed to close")
+    cls_a = unfold_class(g, apply_protocol(g, steps, alpha))
+    cls_b = unfold_class(g, apply_protocol(g, steps, beta))
     return mcg.MCGMatrix(cls_a[0], cls_b[0], cls_a[1], cls_b[1])
 
 
@@ -814,6 +816,7 @@ class Protocol:
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
+    @_document("protocol")
     def from_json(cls, text: str) -> "Protocol":
         doc = json.loads(text)
         geometry = FoldGeometry.from_json(json.dumps(doc["geometry"]))
@@ -936,18 +939,18 @@ def builtin_protocol(name: str) -> Protocol:
     return entries[name]
 
 
-def verify_protocol(entry: Protocol, budget: int = 64,
-                    rng: random.Random | None = None) -> dict:
+def verify_protocol(entry: Protocol, budget: int = 64, rng=None) -> dict:
     """Transversality, closure, and exact trace check for one entry.
 
     trace_loops checks closure and raises on an open protocol, so a
-    returned report always has "closed" True.
+    returned report always has "closed" True.  Tracing is deterministic:
+    `rng` is accepted for callers that still pass one and is ignored.
     """
     if entry.is_stub:
         return {"name": entry.name, "skipped": True,
                 "reason": entry.metadata.get("reason", "stub")}
     transversal = check_transversal(entry.steps, entry.geometry)
-    traced = trace_loops(entry.steps, entry.geometry, budget=budget, rng=rng)
+    traced = trace_loops(entry.steps, entry.geometry, budget=budget)
     expected = entry.expected_matrix()
     return {
         "name": entry.name,

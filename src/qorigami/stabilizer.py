@@ -184,9 +184,6 @@ class QubitPermutation:
         inv[self.image] = np.arange(self.n)
         return QubitPermutation(inv, name=f"{self.name}^-1")
 
-    def is_identity(self) -> bool:
-        return not self.tags and bool(np.all(self.image == np.arange(self.n)))
-
     def permute_bits(self, bits: np.ndarray) -> np.ndarray:
         """Conjugate each (x | z) row of bits by the permutation and tags."""
         n = self.n

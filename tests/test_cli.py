@@ -123,6 +123,11 @@ class TestOrigami:
         assert out1.encode("utf-8") == out2.encode("utf-8")
         assert out1.endswith("\n")
 
+    def test_seed_does_not_change_verify(self, capsys):
+        reports = [run_json(["verify", "all", "--seed", seed], capsys)[1]
+                   for seed in ("0", "7")]
+        assert reports[0]["records"] == reports[1]["records"]
+
     def test_format_changes_rendering_not_statuses(self, capsys):
         code_j, report, _ = run_json(["verify", "fig2_fold2_RaS"], capsys)
         code_t, out_t, _ = run_cli(
@@ -299,6 +304,20 @@ class TestReportShape:
         code, report, _ = run_json(["models", "verify", str(path)], capsys)
         assert code == 1
         assert report["overall"] == "fail"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mcg", "eval", "S T"],
+    ["mcg", "eval", "Q"],
+    ["verify", "fig2_fold2_RaS", "--format", "json"],
+    ["models", "bogus"],
+    ["list", "--help"],
+    [],
+])
+def test_parser_is_built_once_and_reused(argv, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first = run_cli(argv, capsys)
+    assert run_cli(argv, capsys) == first
 
 
 def test_module_entry_point_runs_main():

@@ -146,6 +146,11 @@ class TestCatalog:
         assert report["trace"] == EXPECTED_TRACES[name]
         assert report["match"] is True
 
+    def test_rng_is_ignored(self):
+        entry = builtin_protocol("appB_8layer_S")
+        assert verify_protocol(entry, rng=random.Random(1)) == \
+            verify_protocol(entry)
+
     def test_stub_entry_is_skipped(self):
         report = verify_protocol(builtin_protocol("fig3b_16layer_S"))
         assert report["skipped"]
@@ -295,18 +300,19 @@ class TestTracing:
         assert unfold_class(g, beta) == (0, 1)
 
     def test_determinant_tracks_mirror_parity(self):
+        # A segment on layer l ends on layer sigma(l) of the net
+        # permutation, so the traced map flips orientation iff the two
+        # layers' charts differ in orientation.
         for name in EXPECTED_TRACES:
             entry = builtin_protocol(name)
             traced = trace_loops(entry.steps, entry.geometry)
-            parity = 1
+            orient = entry.geometry.orientation
+            sigma = {l: l for l in range(1, entry.geometry.layers + 1)}
             for step in entry.steps:
-                moved = sum(1 for l, m in step.perm.items() if l != m)
-                swaps = moved // 2
-                orient = entry.geometry.orientation
-                flips = sum(1 for l, m in step.perm.items()
-                            if l < m and orient[l - 1] != orient[m - 1])
-                parity *= (-1) ** flips if flips else 1
-            assert traced.det() in (1, -1)
+                sigma = {l: step.perm[m] for l, m in sigma.items()}
+            for l, m in sigma.items():
+                assert traced.det() == orient[l - 1] * orient[m - 1], (
+                    name, l)
 
     def test_unfold_fold_duality_single_fold(self):
         g = builtin_protocol("fig2_fold2_RaS").geometry
@@ -335,7 +341,7 @@ class TestTracing:
         detour2 = [(e2, s2, l2), (s2, e2, l2)]
         decorated = LoopPath(tuple(
             segs[:4] + detour + segs[4:11] + detour2 + segs[11:]))
-        classes = {unfold_class(g, decorated, rng=random.Random(seed))
+        classes = {unfold_class(g, decorated)
                    for seed in range(8)}
         assert classes == {(1, 0)}
 
@@ -359,6 +365,88 @@ class TestTracing:
         alpha, _ = reference_loops(g)
         assert unfold_class(g, alpha.reversed_path()) == (-1, 0)
 
+    def test_loop_path_round_trips_its_segments(self):
+        for name in ("appE_12layer_C", "fig3_genon4_RaS", "appC_hexagon_RaS"):
+            for probe in builtin_protocol(name).geometry._probes:
+                segments = probe.segments
+                assert all(isinstance(c, Fraction)
+                           for s, e, _ in segments for c in (*s, *e))
+                assert LoopPath(segments).segments == segments
+                assert LoopPath(segments) == probe
+                assert probe.reversed_path().segments == tuple(
+                    (e, s, l) for s, e, l in reversed(segments))
+
+
+def _fraction_relabel(g, steps, segments):
+    """Layer relabelling in Fractions: a region step moves a segment when
+    its midpoint lies in the region."""
+    for step in steps:
+        poly = g.region_polygon(step.region)
+        segments = tuple(
+            (s, e, step.perm[l] if step.region == "ALL"
+             or origami._point_in_convex(((s[0] + e[0]) / 2,
+                                          (s[1] + e[1]) / 2), poly) else l)
+            for s, e, l in segments)
+    return segments
+
+
+def _fraction_glue(g, segments):
+    """Oracle for unfold_class: apply each segment's chart in Fractions
+    and glue by integer translations; None if the image does not close."""
+    start = cur = None
+    for s, e, layer in segments:
+        chart = g.chart(layer)
+        ps, pe = chart.apply(s), chart.apply(e)
+        if cur is None:
+            start, cur = ps, pe
+            continue
+        tx, ty = cur[0] - ps[0], cur[1] - ps[1]
+        if tx.denominator != 1 or ty.denominator != 1:
+            return None
+        cur = (pe[0] + tx, pe[1] + ty)
+    dx, dy = cur[0] - start[0], cur[1] - start[1]
+    if dx.denominator != 1 or dy.denominator != 1:
+        return None
+    return (int(dx), int(dy))
+
+
+def _oracle_case(label):
+    """(geometry, steps): a ready catalog entry, or the genon-4 geometry
+    under a delta or nabla step taken once or twice."""
+    if label in EXPECTED_TRACES:
+        entry = builtin_protocol(label)
+        return entry.geometry, entry.steps
+    region, times = label.split("x")
+    step = ProtocolStep(perm=parse_cycles("(1,4)(2,3)", 4), region=region)
+    return (builtin_protocol("fig3_genon4_RaS").geometry,
+            (step,) * int(times))
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED_TRACES) + [
+    "deltax1", "deltax2", "nablax1", "nablax2"])
+def test_integer_glue_matches_fraction_oracle(label):
+    g, steps = _oracle_case(label)
+    classes = []
+    for probe in g._probes:
+        image = origami.apply_protocol(g, steps, probe)
+        expected = _fraction_relabel(g, steps, probe.segments)
+        assert image.segments == expected
+        assert image.ends is probe.ends
+        classes.append(unfold_class(g, image))
+        assert classes[-1] == _fraction_glue(g, expected), label
+    if label.endswith("x1"):
+        assert None in classes
+    else:
+        assert None not in classes
+
+
+def test_open_path_has_no_class():
+    g = builtin_protocol("fig3_genon4_RaS").geometry
+    for probe in g._probes:
+        half = probe.segments[:len(probe.segments) // 2]
+        assert _fraction_glue(g, half) is None
+        assert unfold_class(g, LoopPath(half)) is None
+
 
 # -- serialization --------------------------------------------------------
 
@@ -381,6 +469,28 @@ class TestSerialization:
         assert entry.to_json() == entry.to_json()
         doc = json.loads(entry.to_json())
         assert list(doc) == sorted(doc)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda text: text[:-1],
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "steps"}),
+        lambda text: json.dumps(dict(json.loads(text), steps=5)),
+    ], ids=["bad_json", "missing_key", "wrong_type"])
+    def test_malformed_protocol_document(self, mangle):
+        text = builtin_protocol("appB_8layer_S").to_json()
+        with pytest.raises(OrigamiError):
+            Protocol.from_json(mangle(text))
+
+    @pytest.mark.parametrize("mangle", [
+        lambda text: text[:-1],
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "charts"}),
+        lambda text: json.dumps(dict(json.loads(text), charts=[["x"]])),
+    ], ids=["bad_json", "missing_key", "bad_chart"])
+    def test_malformed_geometry_document(self, mangle):
+        text = builtin_protocol("fig3_genon4_RaS").geometry.to_json()
+        with pytest.raises(OrigamiError):
+            FoldGeometry.from_json(mangle(text))
 
     def test_round_tripped_protocol_traces_identically(self):
         entry = builtin_protocol("appE_4layer_RbS")

@@ -206,7 +206,7 @@ def cmd_stabilizer(args, caps) -> list:
         code = stabilizer.build_toric_torus(lattice)
         perm = stabilizer.geometric_permutation(code, move)
         action = stabilizer.logical_action(code, perm)
-        expected = _expected_symplectic(TORUS_MOVE_WORDS[move])
+        expected = _EXPECTED_SYMPLECTIC[TORUS_MOVE_WORDS[move]]
         ok = np.array_equal(action["symplectic"], expected)
         return [record(f"toric_L{lattice}:{move}",
                        "pass" if ok else "fail",
@@ -227,7 +227,7 @@ def cmd_stabilizer(args, caps) -> list:
     code = stabilizer.build_bilayer_genon_code(lattice)
     action = stabilizer.protocol_action(
         code, stabilizer.NAMED_PROTOCOLS[protocol])
-    expected = _expected_symplectic(GENON_PROTOCOL_WORDS[protocol])
+    expected = _EXPECTED_SYMPLECTIC[GENON_PROTOCOL_WORDS[protocol]]
     ok = np.array_equal(action["symplectic"], expected)
     return [record(f"genon_L{lattice}:{protocol}",
                    "pass" if ok else "fail",
@@ -237,10 +237,21 @@ def cmd_stabilizer(args, caps) -> list:
 
 def _expected_symplectic(word: str) -> np.ndarray:
     if not word:
-        return np.eye(4, dtype=np.uint8)
-    model = anyons.builtin_model("toric_code")
-    return stabilizer.symplectic_from_unitary(
-        anyons.rep_on_torus(model, word))
+        expected = np.eye(4, dtype=np.uint8)
+    else:
+        model = anyons.builtin_model("toric_code")
+        expected = stabilizer.symplectic_from_unitary(
+            anyons.rep_on_torus(model, word))
+    expected.flags.writeable = False
+    return expected
+
+
+# Expected symplectic action of each move and protocol word, shared
+# read-only.  Built at import rather than cached on first use, so that every
+# job, the first included, does the same work.
+_EXPECTED_SYMPLECTIC = {
+    word: _expected_symplectic(word)
+    for word in {*TORUS_MOVE_WORDS.values(), *GENON_PROTOCOL_WORDS.values()}}
 
 
 def cmd_measure(args, caps) -> list:
@@ -255,8 +266,15 @@ def _identity_suite(seed: int, tol: float, max_dim: int) -> list:
     rng = np.random.default_rng(seed)
     records = []
 
-    system = interferometry.FockSystem(sites=2, modes_per_site=2, cutoff=2,
-                                       total_cap=2, max_dim=max_dim)
+    try:
+        system = interferometry.FockSystem(
+            sites=2, modes_per_site=2, cutoff=2, total_cap=2,
+            max_dim=max_dim)
+        twist_systems = {layers: interferometry.FockSystem(
+            sites=1, modes_per_site=layers, cutoff=2, total_cap=2,
+            max_dim=max_dim) for layers in (2, 3)}
+    except interferometry.InterferometryError as err:
+        raise CliError(str(err)) from err
     worst = 0.0
     for _ in range(20):
         state = system.random_state(rng)
@@ -266,10 +284,7 @@ def _identity_suite(seed: int, tol: float, max_dim: int) -> list:
     records.append(record("parity_swap_identity", "pass", actual=worst,
                           tolerance=tol))
 
-    for layers in (2, 3):
-        twist_sys = interferometry.FockSystem(
-            sites=1, modes_per_site=layers, cutoff=2, total_cap=2,
-            max_dim=max_dim)
+    for layers, twist_sys in twist_systems.items():
         worst = 0.0
         for _ in range(10):
             state = twist_sys.random_state(rng)

@@ -66,11 +66,18 @@ class FockSystem:
                 states.append(occ)
         return tuple(states)
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        if self.total_cap is None:
-            return (self.cutoff + 1) ** self.n_modes
-        return len(self.basis)
+        """Basis size in closed form, so that the cap is checked before the
+        basis is enumerated.  With a total cap T, inclusion-exclusion over
+        the j modes forced above the cutoff c counts the occupations of
+        sum <= T: sum_j (-1)^j C(n, j) C(T - j(c + 1) + n, n)."""
+        n, c, cap = self.n_modes, self.cutoff, self.total_cap
+        if cap is None:
+            return (c + 1) ** n
+        return sum((-1) ** j * math.comb(n, j)
+                   * math.comb(cap - j * (c + 1) + n, n)
+                   for j in range(n + 1) if cap >= j * (c + 1))
 
     def index(self) -> dict:
         """Basis position of each occupation tuple; shared, do not mutate."""

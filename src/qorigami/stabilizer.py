@@ -78,12 +78,6 @@ def _gf2_residues(rows: np.ndarray, pivots: list[int],
     return out
 
 
-def _bits_matrix(ops, n: int) -> np.ndarray:
-    """Stack the (x | z) bits of Pauli operators as uint8 rows."""
-    return np.array([op.symplectic_bits() for op in ops],
-                    dtype=np.uint8).reshape(len(ops), 2 * n)
-
-
 def _symplectic_products(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Symplectic form mod 2 between every row of a and every row of b.
 
@@ -206,45 +200,57 @@ class QubitPermutation:
 @dataclass(frozen=True)
 class StabilizerCode:
     n: int
-    generators: tuple[PauliOp, ...]
+    generator_matrix: np.ndarray
     logical_pairs: tuple[tuple[PauliOp, PauliOp], ...]
     qubit_coords: dict
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for g in self.generators:
-            if g.n != self.n:
-                raise StabilizerError("generator size mismatch")
-        gens = self.generator_matrix
+        # (x | z) rows of the generators; read-only, as every check shares
+        # this one copy.
+        gens = np.asarray(self.generator_matrix, dtype=np.uint8) % 2
+        if gens.ndim != 2 or gens.shape[1] != 2 * self.n:
+            raise StabilizerError("generator size mismatch")
+        gens.flags.writeable = False
+        object.__setattr__(self, "generator_matrix", gens)
         # Gram matrix X Zt + Z Xt = P + Pt with P = X Zt: one product.
         p = np.einsum("ik,jk->ij", gens[:, :self.n], gens[:, self.n:])
         clash = np.triu((p ^ p.T) & 1, 1).any(axis=1)
         if clash.any():
             raise StabilizerError(
                 f"generators do not commute: {int(np.argmax(clash))}")
-        logicals = _bits_matrix(self.logical_ops(), self.n)
+        logicals = self._logical_bits
         if _symplectic_products(logicals, gens, self.n).any():
             raise StabilizerError("logical fails to commute with group")
-        for i, (xi, zi) in enumerate(self.logical_pairs):
-            if xi.commutes_with(zi):
+        # A set entry of defect at (2i, 2i + 1) means pair i commutes; one
+        # between two pairs means they fail to commute.  Rows are scanned
+        # in pair order, so the first defect found is reported.
+        defect = (_symplectic_products(logicals, logicals, self.n)
+                  ^ _symplectic_form(logicals.shape[0]))
+        for i in range(len(self.logical_pairs)):
+            if defect[2 * i, 2 * i + 1]:
                 raise StabilizerError(f"logical pair {i} commutes")
-            for j, (xj, zj) in enumerate(self.logical_pairs):
-                if i != j and not (xi.commutes_with(xj) and xi.commutes_with(zj)
-                                   and zi.commutes_with(xj)
-                                   and zi.commutes_with(zj)):
-                    raise StabilizerError("cross-pair logicals do not commute")
+            if defect[2 * i:2 * i + 2].any():
+                raise StabilizerError("cross-pair logicals do not commute")
         if self.k != len(self.logical_pairs):
             raise StabilizerError(
                 f"rank gives k={self.k}, but {len(self.logical_pairs)} "
                 "logical pairs supplied")
 
     @cached_property
-    def generator_matrix(self) -> np.ndarray:
-        """(x | z) rows of the generators; read-only, as every check
-        shares this one copy."""
-        mat = _bits_matrix(self.generators, self.n)
-        mat.flags.writeable = False
-        return mat
+    def _logical_bits(self) -> np.ndarray:
+        """(x | z) rows of the logicals in (X1, Z1, X2, Z2, ...) order;
+        read-only, stacked once per code."""
+        bits = np.array([op.symplectic_bits() for pair in self.logical_pairs
+                         for op in pair], dtype=np.uint8)
+        bits = bits.reshape(-1, 2 * self.n)
+        bits.flags.writeable = False
+        return bits
+
+    @cached_property
+    def _qubit_index(self) -> dict:
+        """Qubit index of each coordinate: the inverse of qubit_coords."""
+        return {coord: q for q, coord in self.qubit_coords.items()}
 
     @cached_property
     def _echelon(self) -> tuple[np.ndarray, list[int]]:
@@ -267,12 +273,27 @@ class StabilizerCode:
         """Membership in the stabilizer group, ignoring phases."""
         return not self._residues(op.symplectic_bits()[None, :]).any()
 
-    def logical_ops(self) -> list[PauliOp]:
-        return [op for pair in self.logical_pairs for op in pair]
-
     def export_text(self) -> str:
-        lines = [g.to_string() for g in self.generators]
-        return "\n".join(lines) + "\n"
+        gens, n = self.generator_matrix, self.n
+        letters = np.array(list("IXZY"))[gens[:, :n] + 2 * gens[:, n:]]
+        return "\n".join("".join(row) for row in letters) + "\n"
+
+
+def _pauli_rows(n: int, supports) -> np.ndarray:
+    """(x | z) rows of X- or Z-type operators given as (kind, qubits)
+    supports; a qubit listed twice cancels."""
+    width = 2 * n
+    flat = np.array([row * width + q + (0 if kind == "X" else n)
+                     for row, (kind, qubits) in enumerate(supports)
+                     for q in qubits], dtype=np.int64)
+    mat = np.zeros(len(supports) * width, dtype=np.uint8)
+    np.bitwise_xor.at(mat, flat, 1)
+    return mat.reshape(len(supports), width)
+
+
+def _pauli(n: int, kind: str, qubits) -> PauliOp:
+    bits = _pauli_rows(n, [(kind, qubits)])[0]
+    return PauliOp(bits[:n], bits[n:])
 
 
 # -- toric code on the torus ----------------------------------------------
@@ -287,45 +308,31 @@ def build_toric_torus(L: int) -> StabilizerCode:
     if L < 2:
         raise StabilizerError("torus needs L >= 2")
     n = 2 * L * L
-    gens = []
-    for x in range(L):
-        for y in range(L):
-            xs = np.zeros(n, dtype=np.uint8)
-            for e in (_torus_edge(L, x, y, 0), _torus_edge(L, x - 1, y, 0),
-                      _torus_edge(L, x, y, 1), _torus_edge(L, x, y - 1, 1)):
-                xs[e] ^= 1
-            gens.append(PauliOp(xs, np.zeros(n, dtype=np.uint8)))
-    for x in range(L):
-        for y in range(L):
-            zs = np.zeros(n, dtype=np.uint8)
-            for e in (_torus_edge(L, x, y, 0), _torus_edge(L, x, y + 1, 0),
-                      _torus_edge(L, x, y, 1), _torus_edge(L, x + 1, y, 1)):
-                zs[e] ^= 1
-            gens.append(PauliOp(np.zeros(n, dtype=np.uint8), zs))
 
-    def string(edges, kind):
-        x = np.zeros(n, dtype=np.uint8)
-        z = np.zeros(n, dtype=np.uint8)
-        arr = x if kind == "X" else z
-        for e in edges:
-            arr[e] ^= 1
-        return PauliOp(x, z)
+    def e(x, y, o):
+        return _torus_edge(L, x, y, o)
+
+    stars = [("X", [e(x, y, 0), e(x - 1, y, 0), e(x, y, 1), e(x, y - 1, 1)])
+             for x in range(L) for y in range(L)]
+    plaquettes = [("Z", [e(x, y, 0), e(x, y + 1, 0), e(x, y, 1),
+                         e(x + 1, y, 1)])
+                  for x in range(L) for y in range(L)]
 
     # Loop dictionary: X1 = e-loop along alpha, Z1 = m-loop along beta,
     # X2 = m-loop along alpha, Z2 = e-loop along beta.
-    x1 = string([_torus_edge(L, x, 0, 0) for x in range(L)], "Z")
-    z1 = string([_torus_edge(L, 0, y, 0) for y in range(L)], "X")
-    x2 = string([_torus_edge(L, x, 0, 1) for x in range(L)], "X")
-    z2 = string([_torus_edge(L, 0, y, 1) for y in range(L)], "Z")
+    x1 = _pauli(n, "Z", [e(x, 0, 0) for x in range(L)])
+    z1 = _pauli(n, "X", [e(0, y, 0) for y in range(L)])
+    x2 = _pauli(n, "X", [e(x, 0, 1) for x in range(L)])
+    z2 = _pauli(n, "Z", [e(0, y, 1) for y in range(L)])
 
     coords = {}
     for o in range(2):
         for y in range(L):
             for x in range(L):
-                coords[_torus_edge(L, x, y, o)] = (0, (x, y, "HV"[o]))
+                coords[e(x, y, o)] = (0, (x, y, "HV"[o]))
     return StabilizerCode(
         n=n,
-        generators=tuple(gens),
+        generator_matrix=_pauli_rows(n, stars + plaquettes),
         logical_pairs=((x1, z1), (x2, z2)),
         qubit_coords=coords,
         metadata={"kind": "toric_torus", "L": L},
@@ -423,6 +430,41 @@ def _validate_cuts(L: int, cuts) -> tuple:
     return (c1, alo, ahi), (c2, blo, bhi)
 
 
+def _genon_qubit(L: int, e, sheet: int) -> int:
+    """Qubit of edge e = (x, y, o) on a sheet, in _genon_edges order."""
+    x, y, o = e
+    index = y * L + x if o == 0 else L * (L + 1) + y * (L + 1) + x
+    return sheet * 2 * L * (L + 1) + index
+
+
+def _genon_walk(L: int, cuts, points, sheet: int, dual: bool) -> list[int]:
+    """Qubits of the edges a closed walk through points passes.
+
+    A dual walk hops between face centres across edges (X loops); a direct
+    walk steps along edges between vertices (Z loops).  The sheet toggles
+    at each cut crossing, and the walk must close on its starting sheet.
+    """
+    point = _face_center if dual else (lambda v: _vertex_eff(v, cuts))
+    pick = max if dual else min
+    seq = list(points) + [points[0]]
+    out = []
+    cur = sheet
+    for (x1, y1), (x2, y2) in zip(seq, seq[1:]):
+        if abs(x1 - x2) + abs(y1 - y2) != 1:
+            raise StabilizerError("walk steps must be adjacent")
+        # A dual step along a row crosses a vertical edge; a direct step
+        # along a row runs on a horizontal one.
+        e = (pick(x1, x2), pick(y1, y2), int((y1 == y2) == dual))
+        mid = _edge_eff_mid(e, cuts)
+        c1 = _seg_cross(point((x1, y1)), mid, cuts)
+        c2 = _seg_cross(mid, point((x2, y2)), cuts)
+        out.append(_genon_qubit(L, e, cur ^ c1))
+        cur ^= c1 ^ c2
+    if cur != sheet:
+        raise StabilizerError("walk does not close on one sheet")
+    return out
+
+
 def build_bilayer_genon_code(L: int, cuts=None) -> StabilizerCode:
     """Two-layer planar toric-code patch with two vertical branch cuts."""
     if L < 4:
@@ -434,24 +476,7 @@ def build_bilayer_genon_code(L: int, cuts=None) -> StabilizerCode:
     cut_a, cut_b = _validate_cuts(L, cuts)
     cuts = (cut_a, cut_b)
     edges = _genon_edges(L)
-    eidx = {e: i for i, e in enumerate(edges)}
-    ne = len(edges)
-    n = 2 * ne
-
-    def qubit(e, sheet):
-        return sheet * ne + eidx[e]
-
-    def xop(qubits):
-        x = np.zeros(n, dtype=np.uint8)
-        for q in qubits:
-            x[q] ^= 1
-        return PauliOp(x, np.zeros(n, dtype=np.uint8))
-
-    def zop(qubits):
-        z = np.zeros(n, dtype=np.uint8)
-        for q in qubits:
-            z[q] ^= 1
-        return PauliOp(np.zeros(n, dtype=np.uint8), z)
+    n = 2 * len(edges)
 
     genons = {(cx, yy) for cx, ylo, yhi in cuts for yy in (ylo, yhi)}
 
@@ -470,18 +495,8 @@ def build_bilayer_genon_code(L: int, cuts=None) -> StabilizerCode:
             incident.append((x, y - 1, 1))
         for e in incident:
             tog = _seg_cross(veff, _edge_eff_mid(e, cuts), cuts)
-            out.append(qubit(e, sheet ^ tog))
+            out.append(_genon_qubit(L, e, sheet ^ tog))
         return out
-
-    gens = []
-    for x in range(L + 1):
-        for y in range(L + 1):
-            if (x, y) in genons:
-                continue
-            for sheet in range(2):
-                gens.append(xop(star_qubits((x, y), sheet)))
-    for g in sorted(genons):
-        gens.append(xop(star_qubits(g, 0) + star_qubits(g, 1)))
 
     def plaquette_qubits(f, sheet):
         x, y = f
@@ -489,55 +504,27 @@ def build_bilayer_genon_code(L: int, cuts=None) -> StabilizerCode:
         center = _face_center(f)
         for e in ((x, y, 0), (x, y + 1, 0), (x, y, 1), (x + 1, y, 1)):
             tog = _seg_cross(center, _edge_eff_mid(e, cuts), cuts)
-            out.append(qubit(e, sheet ^ tog))
+            out.append(_genon_qubit(L, e, sheet ^ tog))
         return out
 
-    for x in range(L):
-        for y in range(L):
-            for sheet in range(2):
-                gens.append(zop(plaquette_qubits((x, y), sheet)))
+    gens = [("X", star_qubits((x, y), sheet))
+            for x in range(L + 1) for y in range(L + 1)
+            if (x, y) not in genons for sheet in range(2)]
+    gens += [("X", star_qubits(g, 0) + star_qubits(g, 1))
+             for g in sorted(genons)]
+    gens += [("Z", plaquette_qubits((x, y), sheet))
+             for x in range(L) for y in range(L) for sheet in range(2)]
 
-    def dual_walk(faces, sheet, closed=True):
-        """X qubits crossed when hopping through the given face sequence."""
-        out = []
-        seq = list(faces) + ([faces[0]] if closed else [])
-        cur = sheet
-        for f1, f2 in zip(seq, seq[1:]):
-            (x1, y1), (x2, y2) = f1, f2
-            if abs(x1 - x2) + abs(y1 - y2) != 1:
-                raise StabilizerError("dual walk steps must be face-adjacent")
-            if y1 == y2:
-                e = (max(x1, x2), y1, 1)
-            else:
-                e = (x1, max(y1, y2), 0)
-            c1 = _seg_cross(_face_center(f1), _edge_eff_mid(e, cuts), cuts)
-            c2 = _seg_cross(_edge_eff_mid(e, cuts), _face_center(f2), cuts)
-            out.append(qubit(e, cur ^ c1))
-            cur = cur ^ c1 ^ c2
-        if closed and cur != sheet:
-            raise StabilizerError("dual walk does not close on one sheet")
-        return out
+    # Charge-free outer boundary: the loop measuring a layer's total charge
+    # (Z on every boundary edge) is promoted to a stabilizer.
+    boundary_edges = [e for e in edges
+                      if (e[2] == 0 and e[1] in (0, L))
+                      or (e[2] == 1 and e[0] in (0, L))]
+    gens += [("Z", [_genon_qubit(L, e, sheet) for e in boundary_edges])
+             for sheet in range(2)]
 
-    def direct_walk(verts, sheet, closed=True):
-        """Z qubits collected when walking through the given vertex sequence."""
-        out = []
-        seq = list(verts) + ([verts[0]] if closed else [])
-        cur = sheet
-        for v1, v2 in zip(seq, seq[1:]):
-            (x1, y1), (x2, y2) = v1, v2
-            if abs(x1 - x2) + abs(y1 - y2) != 1:
-                raise StabilizerError("direct walk steps must be adjacent")
-            if y1 == y2:
-                e = (min(x1, x2), y1, 0)
-            else:
-                e = (x1, min(y1, y2), 1)
-            c1 = _seg_cross(_vertex_eff(v1, cuts), _edge_eff_mid(e, cuts), cuts)
-            c2 = _seg_cross(_edge_eff_mid(e, cuts), _vertex_eff(v2, cuts), cuts)
-            out.append(qubit(e, cur ^ c1))
-            cur = cur ^ c1 ^ c2
-        if closed and cur != sheet:
-            raise StabilizerError("direct walk does not close on one sheet")
-        return out
+    def walk(kind, points):
+        return _pauli(n, kind, _genon_walk(L, cuts, points, 0, kind == "X"))
 
     def rect_faces(x0, y0, x1, y1):
         faces = [(x, y0) for x in range(x0, x1)]
@@ -545,14 +532,6 @@ def build_bilayer_genon_code(L: int, cuts=None) -> StabilizerCode:
         faces += [(x, y1) for x in range(x1, x0, -1)]
         faces += [(x0, y) for y in range(y1, y0, -1)]
         return faces
-
-    # Charge-free outer boundary: the loop measuring a layer's total charge
-    # (Z on every boundary edge) is promoted to a stabilizer.
-    boundary_edges = [e for e in edges
-                      if (e[2] == 0 and e[1] in (0, L))
-                      or (e[2] == 1 and e[0] in (0, L))]
-    for sheet in range(2):
-        gens.append(zop([qubit(e, sheet) for e in boundary_edges]))
 
     (c1x, ylo, yhi), (c2x, _, _) = cut_a, cut_b
     ym = (ylo + yhi) // 2
@@ -564,34 +543,33 @@ def build_bilayer_genon_code(L: int, cuts=None) -> StabilizerCode:
     verts += [(c2x + 1, y) for y in range(ym + 1, yhi + 2)]
     verts += [(x, yhi + 1) for x in range(c2x, c1x - 2, -1)]
     verts += [(c1x - 1, y) for y in range(yhi, ym, -1)]
-    x1 = zop(direct_walk(verts, 0))
+    x1 = walk("Z", verts)
 
     # Z1 = m-loop encircling the first cut (clear of the on-cut star arms).
-    z1 = xop(dual_walk(rect_faces(c1x - 2, ylo - 1, c1x, yhi), 0))
+    z1 = walk("X", rect_faces(c1x - 2, ylo - 1, c1x, yhi))
 
     # X2 = m-loop threading both cuts at mid-height and returning above.
     faces = [(x, ym) for x in range(c1x - 2, c2x + 2)]
     faces += [(c2x + 1, y) for y in range(ym + 1, yhi + 1)]
     faces += [(x, yhi) for x in range(c2x, c1x - 3, -1)]
     faces += [(c1x - 2, y) for y in range(yhi - 1, ym, -1)]
-    x2 = xop(dual_walk(faces, 0))
+    x2 = walk("X", faces)
 
     # Z2 = e-loop encircling the first cut.
     xr = c1x + 1 if c1x + 1 < c2x else c2x
-    z2 = zop(direct_walk(
-        [(x, ylo - 1) for x in range(c1x - 1, xr)]
-        + [(xr, y) for y in range(ylo - 1, yhi + 1)]
-        + [(x, yhi + 1) for x in range(xr, c1x - 1, -1)]
-        + [(c1x - 1, y) for y in range(yhi + 1, ylo - 1, -1)], 0))
+    z2 = walk("Z", [(x, ylo - 1) for x in range(c1x - 1, xr)]
+              + [(xr, y) for y in range(ylo - 1, yhi + 1)]
+              + [(x, yhi + 1) for x in range(xr, c1x - 1, -1)]
+              + [(c1x - 1, y) for y in range(yhi + 1, ylo - 1, -1)])
 
     coords = {}
     for sheet in range(2):
         for e in edges:
             x, y, o = e
-            coords[qubit(e, sheet)] = (sheet, (x, y, "HV"[o]))
+            coords[_genon_qubit(L, e, sheet)] = (sheet, (x, y, "HV"[o]))
     return StabilizerCode(
         n=n,
-        generators=tuple(gens),
+        generator_matrix=_pauli_rows(n, gens),
         logical_pairs=((x1, z1), (x2, z2)),
         qubit_coords=coords,
         metadata={
@@ -617,24 +595,8 @@ def genon_double_loop(code: StabilizerCode, cut_index: int = 0,
     cuts = code.metadata["cuts"]
     cx, ylo, yhi = cuts[cut_index]
     gy = ylo if endpoint == 0 else yhi
-    edges = _genon_edges(L)
-    eidx = {e: i for i, e in enumerate(edges)}
-    ne = len(edges)
     faces = [(cx - 1, gy - 1), (cx, gy - 1), (cx, gy), (cx - 1, gy)]
-    seq = faces * 2
-    loop = seq + [seq[0]]
-    x = np.zeros(code.n, dtype=np.uint8)
-    cur = 0
-    for f1, f2 in zip(loop, loop[1:]):
-        (x1, y1), (x2, y2) = f1, f2
-        e = (max(x1, x2), y1, 1) if y1 == y2 else (x1, max(y1, y2), 0)
-        c1 = _seg_cross(_face_center(f1), _edge_eff_mid(e, cuts), cuts)
-        c2 = _seg_cross(_edge_eff_mid(e, cuts), _face_center(f2), cuts)
-        x[(cur ^ c1) * ne + eidx[e]] ^= 1
-        cur ^= c1 ^ c2
-    if cur != 0:
-        raise StabilizerError("double loop failed to close")
-    return PauliOp(x, np.zeros(code.n, dtype=np.uint8))
+    return _pauli(code.n, "X", _genon_walk(L, cuts, faces * 2, 0, dual=True))
 
 
 # -- geometric moves ------------------------------------------------------
@@ -642,17 +604,16 @@ def genon_double_loop(code: StabilizerCode, cut_index: int = 0,
 
 def _edge_map_to_perm(code: StabilizerCode, mapper, name: str,
                       tags: dict | None = None) -> QubitPermutation:
+    """Permutation sending each qubit to the qubit at mapper(its coord)."""
     image = np.empty(code.n, dtype=np.int64)
-    index = {coord: q for q, coord in code.qubit_coords.items()}
+    index = code._qubit_index
     for q, coord in code.qubit_coords.items():
         target = mapper(coord)
         if target not in index:
             raise StabilizerError(
                 f"move {name!r} sends qubit {coord} outside the lattice")
         image[q] = index[target]
-    perm = QubitPermutation(image, tags=tags or {}, name=name)
-    _assert_automorphism(code, perm, name)
-    return perm
+    return QubitPermutation(image, tags=tags or {}, name=name)
 
 
 def _assert_automorphism(code: StabilizerCode, perm: QubitPermutation,
@@ -665,10 +626,10 @@ def _assert_automorphism(code: StabilizerCode, perm: QubitPermutation,
 
 def _torus_moves(L: int):
     def h(x, y):
-        return (x % L, y % L, "H")
+        return (0, (x % L, y % L, "H"))
 
     def v(x, y):
-        return (x % L, y % L, "V")
+        return (0, (x % L, y % L, "V"))
 
     return {
         "reflect_diagonal": lambda c: (
@@ -681,17 +642,15 @@ def _torus_moves(L: int):
         "rotate_quarter_about_plaquette": lambda c: (
             v(1 - c[1][1], c[1][0]) if c[1][2] == "H"
             else h(-c[1][1], c[1][0])),
+        # Lattice duality: shifts by half a lattice vector, exchanging
+        # stars and plaquettes; only valid combined with transversal H.
+        "half_translation": lambda c: (
+            v(c[1][0] + 1, c[1][1]) if c[1][2] == "H"
+            else h(c[1][0], c[1][1] + 1)),
     }
 
 
-def _genon_point_moves(L: int):
-    return {
-        "reflect_antidiagonal": lambda p: (L - p[1], L - p[0]),
-        "reflect_vertical": lambda p: (L - p[0], p[1]),
-    }
-
-
-def _genon_edge_mapper(L: int, point_map):
+def _genon_edge_mapper(point_map):
     def mapper(coord):
         sheet, (x, y, o) = coord
         if o == "H":
@@ -706,86 +665,69 @@ def _genon_edge_mapper(L: int, point_map):
     return mapper
 
 
-def _central_square_mask(code: StabilizerCode):
-    """Qubits of the inter-cut square; half-open so that the swapped patch
-    boundary matches the west-nudge convention of the cuts (east on-cut
-    column and south row in, west column and north row out)."""
+def _flip_sheet(coord):
+    sheet, site = coord
+    return (1 - sheet, site)
+
+
+def _genon_moves(code: StabilizerCode):
+    L = code.metadata["L"]
     (c1x, ylo, yhi), (c2x, _, _) = code.metadata["cuts"]
-    members = set()
-    for q, (sheet, (x, y, o)) in code.qubit_coords.items():
-        if o == "H":
-            if c1x <= x <= c2x - 1 and ylo <= y <= yhi - 1:
-                members.add(q)
-        else:
-            if c1x < x <= c2x and ylo <= y <= yhi - 1:
-                members.add(q)
-    return members
+
+    def in_central_square(coord):
+        """Inter-cut square; half-open so that the swapped patch boundary
+        matches the west-nudge convention of the cuts (east on-cut column
+        and south row in, west column and north row out)."""
+        _, (x, y, o) = coord
+        lo, hi = (c1x, c2x - 1) if o == "H" else (c1x + 1, c2x)
+        return lo <= x <= hi and ylo <= y <= yhi - 1
+
+    def on_cut_columns(coord):
+        _, (x, y, o) = coord
+        return o == "V" and x in (c1x, c2x) and ylo <= y <= yhi - 1
+
+    mirror = _genon_edge_mapper(lambda p: (L - p[0], p[1]))
+
+    def reflect_vertical(coord):
+        # The mirror swaps the two cuts but flips the west-nudge side;
+        # compensate with a sheet swap on the on-cut columns.
+        image = mirror(coord)
+        return _flip_sheet(image) if on_cut_columns(image) else image
+
+    return {
+        "layer_swap": _flip_sheet,
+        "patch_layer_swap": lambda c: (
+            _flip_sheet(c) if in_central_square(c) else c),
+        "reflect_antidiagonal": _genon_edge_mapper(
+            lambda p: (L - p[1], L - p[0])),
+        "reflect_vertical": reflect_vertical,
+    }
 
 
 def geometric_permutation(code: StabilizerCode, move: str,
                           region: str | None = None) -> QubitPermutation:
-    """Qubit permutation realizing a lattice isometry or layer swap."""
+    """Qubit permutation realizing a lattice isometry or layer swap.
+
+    The permutation need not normalize the stabilizer group (a mirror may
+    move the branch cuts); logical_action checks the move it is given.
+    """
     kind = code.metadata.get("kind")
     if kind == "toric_torus":
-        L = code.metadata["L"]
-        moves = {name: (lambda fn: (lambda c: (0, fn(c))))(fn)
-                 for name, fn in _torus_moves(L).items()}
-        if move == "half_translation":
-            # Lattice duality: shifts by half a lattice vector, exchanging
-            # stars and plaquettes; only valid combined with transversal H.
-            def dual(c):
-                _, (x, y, o) = c
-                if o == "H":
-                    return (0, ((x + 1) % L, y % L, "V"))
-                return (0, (x % L, (y + 1) % L, "H"))
-
-            tags = {q: "H" for q in range(code.n)}
-            return _edge_map_to_perm(code, lambda c: dual(c), move, tags=tags)
-        if move not in moves:
-            raise StabilizerError(f"unknown torus move {move!r}")
-        return _edge_map_to_perm(code, moves[move], move)
-    if kind == "bilayer_genon":
-        L = code.metadata["L"]
-        if move == "layer_swap":
-            image = np.empty(code.n, dtype=np.int64)
-            index = {coord: q for q, coord in code.qubit_coords.items()}
-            for q, (sheet, site) in code.qubit_coords.items():
-                image[q] = index[(1 - sheet, site)]
-            perm = QubitPermutation(image, name=move)
-            _assert_automorphism(code, perm, move)
-            return perm
-        if move == "patch_layer_swap":
-            if region not in (None, "central_square"):
-                raise StabilizerError(f"unknown region {region!r}")
-            members = _central_square_mask(code)
-            image = np.arange(code.n, dtype=np.int64)
-            index = {coord: q for q, coord in code.qubit_coords.items()}
-            for q in members:
-                sheet, site = code.qubit_coords[q]
-                image[q] = index[(1 - sheet, site)]
-            return QubitPermutation(image, name=f"{move}[central_square]")
-        if move in ("reflect_antidiagonal", "reflect_vertical"):
-            point_map = _genon_point_moves(L)[move]
-            mapper = _genon_edge_mapper(L, point_map)
-            image = np.empty(code.n, dtype=np.int64)
-            index = {coord: q for q, coord in code.qubit_coords.items()}
-            for q, coord in code.qubit_coords.items():
-                image[q] = index[mapper(coord)]
-            if move == "reflect_vertical":
-                # The mirror swaps the two cuts but flips the west-nudge
-                # side; compensate with a sheet swap on the on-cut columns.
-                (c1x, ylo, yhi), (c2x, _, _) = code.metadata["cuts"]
-                seam = np.arange(code.n, dtype=np.int64)
-                for q, (sheet, (x, y, o)) in code.qubit_coords.items():
-                    if o == "V" and x in (c1x, c2x) and ylo <= y <= yhi - 1:
-                        seam[q] = index[(1 - sheet, (x, y, o))]
-                image = seam[image]
-            perm = QubitPermutation(image, name=move)
-            if move == "reflect_vertical":
-                _assert_automorphism(code, perm, move)
-            return perm
-        raise StabilizerError(f"unknown genon move {move!r}")
-    raise StabilizerError(f"no moves defined for code kind {kind!r}")
+        moves, label = _torus_moves(code.metadata["L"]), "torus"
+    elif kind == "bilayer_genon":
+        moves, label = _genon_moves(code), "genon"
+    else:
+        raise StabilizerError(f"no moves defined for code kind {kind!r}")
+    if move not in moves:
+        raise StabilizerError(f"unknown {label} move {move!r}")
+    name, tags = move, None
+    if move == "half_translation":
+        tags = {q: "H" for q in range(code.n)}
+    if move == "patch_layer_swap":
+        if region not in (None, "central_square"):
+            raise StabilizerError(f"unknown region {region!r}")
+        name = f"{move}[central_square]"
+    return _edge_map_to_perm(code, moves[move], name, tags)
 
 
 # -- logical action -------------------------------------------------------
@@ -794,7 +736,7 @@ def geometric_permutation(code: StabilizerCode, move: str,
 def logical_action(code: StabilizerCode, perm: QubitPermutation) -> dict:
     """2k x 2k GF(2) symplectic matrix of a normalizing permutation."""
     _assert_automorphism(code, perm, perm.name or "perm")
-    logicals = _bits_matrix(code.logical_ops(), code.n)
+    logicals = code._logical_bits
     twok = logicals.shape[0]
     images = perm.permute_bits(logicals)
     # Column j holds the coordinates of image j: its pairing with each
@@ -953,15 +895,12 @@ def exact_z_distance(code: StabilizerCode, limit_dim: int = 22) -> int:
 
     Only feasible when the Z-kernel dimension is at most limit_dim.
     """
-    xs_rows = [g.x for g in code.generators if g.x.any()]
-    hx = np.stack(xs_rows)
-    basis = _gf2_nullspace(hx)
+    xs = code.generator_matrix[:, :code.n]
+    basis = _gf2_nullspace(xs[xs.any(axis=1)])
     if basis.shape[0] > limit_dim:
         raise StabilizerError(
             f"kernel dimension {basis.shape[0]} exceeds limit {limit_dim}")
-    xlogs = [pair[0] for pair in code.logical_pairs] + \
-            [pair[1] for pair in code.logical_pairs]
-    xlog_bits = [log.x for log in xlogs if log.x.any()]
+    xlog_bits = [x for x in code._logical_bits[:, :code.n] if x.any()]
     words = np.zeros(1, dtype=object)
     pairings = np.zeros(1, dtype=np.int64)
     words[0] = 0
@@ -1007,18 +946,18 @@ def min_logical_weight_upper_bound(code: StabilizerCode, seed: int = 0,
     """Best found weight of a logical operator, by randomized coset descent."""
     rng = np.random.default_rng(seed)
     gen_bits = code.generator_matrix
-    best = min(op.weight() for op in code.logical_ops())
-    for op in code.logical_ops():
-        current = op.symplectic_bits().copy()
+    n = code.n
+
+    def weight(bits):
+        return int(np.sum(bits[:n] | bits[n:]))
+
+    best = min(weight(bits) for bits in code._logical_bits)
+    for current in code._logical_bits:
         for _ in range(sweeps):
-            row = gen_bits[rng.integers(gen_bits.shape[0])]
-            trial = current ^ row
-            n = code.n
-            if int(np.sum(trial[:n] | trial[n:])) <= \
-                    int(np.sum(current[:n] | current[n:])):
+            trial = current ^ gen_bits[rng.integers(gen_bits.shape[0])]
+            if weight(trial) <= weight(current):
                 current = trial
-        n = code.n
-        best = min(best, int(np.sum(current[:n] | current[n:])))
+        best = min(best, weight(current))
     return best
 
 

@@ -164,6 +164,22 @@ class TestStabilizer:
         assert code == 0
         assert report["records"][0]["status"] == "pass"
 
+    @pytest.mark.parametrize("argv", [
+        ["stabilizer", "verify", "--lattice", "3"],
+        ["stabilizer", "genon", "--L", "6",
+         "--protocol", "genon_mirror_swap_mirror"],
+    ])
+    def test_expected_action_is_not_rebuilt_per_job(self, argv, capsys,
+                                                     monkeypatch):
+        first = run_json(argv, capsys)
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("expected action rebuilt for a job")
+
+        monkeypatch.setattr(anyons, "rep_on_torus", rebuilt)
+        assert run_json(argv, capsys) == first
+        assert first[0] == 0
+
     def test_config_cap_override(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "caps.json"
         cfg.write_text(json.dumps({"stabilizer_max_lattice": 2}))
@@ -222,6 +238,12 @@ class TestMeasure:
         assert {"parity_swap_identity", "twist_identity_N2",
                 "twist_identity_N3", "cswap_blocks",
                 "four_beamsplitter"} <= names
+
+    def test_identity_suite_over_dimension_cap_is_usage_error(self, capsys):
+        code, out, err = run_json(
+            ["measure", "identity-suite", "--max-dim", "5"], capsys)
+        assert code == 2 and out is None
+        assert "exceeds the cap 5" in json.loads(err)["error"]
 
     def test_estimate_readout(self, tmp_path, capsys):
         path = tmp_path / "budget.json"

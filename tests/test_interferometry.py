@@ -24,6 +24,26 @@ class TestFockSystem:
         with pytest.raises(itf.InterferometryError):
             itf.FockSystem(sites=4, modes_per_site=4, cutoff=2)
 
+    def test_closed_form_dim_counts_the_basis(self):
+        for sites in (1, 2):
+            for modes in (1, 2, 3):
+                for cutoff in (1, 2, 3):
+                    for total_cap in (None, -1, 0, 1, 2, 3, 4, 7, 20):
+                        sys = itf.FockSystem(
+                            sites=sites, modes_per_site=modes, cutoff=cutoff,
+                            total_cap=total_cap, max_dim=10 ** 6)
+                        assert sys.dim == len(sys.basis), (
+                            sites, modes, cutoff, total_cap)
+
+    def test_dim_cap_checked_before_enumeration(self, monkeypatch):
+        def enumerate_basis(*args, **kwargs):
+            raise AssertionError("basis enumerated before the cap check")
+
+        monkeypatch.setattr(itf.itertools, "product", enumerate_basis)
+        with pytest.raises(itf.InterferometryError, match="exceeds the cap"):
+            itf.FockSystem(sites=3, modes_per_site=4, cutoff=3, total_cap=3,
+                           max_dim=10)
+
     def test_commutator_on_safe_subspace(self):
         sys = itf.FockSystem(sites=1, modes_per_site=2, cutoff=3)
         a = sys.annihilation(0)

@@ -220,19 +220,43 @@ def test_random_transposition_is_not_an_automorphism(a, b):
 @pytest.mark.parametrize("position", ["first", "last"])
 def test_non_commuting_generators_rejected_with_first_index(position):
     torus = build_toric_torus(3)
-    z = np.zeros(torus.n, dtype=np.uint8)
-    z[4] = 1
-    bad = PauliOp(np.zeros(torus.n, dtype=np.uint8), z)
-    gens = ((bad,) + torus.generators if position == "first"
-            else torus.generators + (bad,))
+    n = torus.n
+    bad = np.zeros((1, 2 * n), dtype=np.uint8)
+    bad[0, n + 4] = 1
+    rows = ((bad, torus.generator_matrix) if position == "first"
+            else (torus.generator_matrix, bad))
+    gens = np.vstack(rows)
+    ops = [PauliOp(row[:n], row[n:]) for row in gens]
     # The first generator that fails to commute with a later one.
-    first = next(i for i, g in enumerate(gens)
-                 if any(not g.commutes_with(h) for h in gens[i + 1:]))
+    first = next(i for i, g in enumerate(ops)
+                 if any(not g.commutes_with(h) for h in ops[i + 1:]))
     with pytest.raises(StabilizerError,
                        match=f"generators do not commute: {first}$"):
-        stab.StabilizerCode(torus.n, gens, torus.logical_pairs,
+        stab.StabilizerCode(n, gens, torus.logical_pairs,
                             torus.qubit_coords)
     assert (first == 0) == (position == "first")
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ((("x1", "x2"), ("z1", "z2")), "logical pair 0 commutes"),
+    ((("x1", "z1"), ("x2", "x2")), "logical pair 1 commutes"),
+    # Pair 1 also commutes, but pair 0 is scanned first.
+    ((("x1", "z1"), ("z1", "z1")), "cross-pair logicals do not commute"),
+    ((("x1", "z1"), ("z1", "x1")), "cross-pair logicals do not commute"),
+    ((("x1", "z1"), ("bad", "z2")), "logical fails to commute with group"),
+    ((("x1", "z1"),), "rank gives k=2, but 1 logical pairs supplied"),
+])
+def test_invalid_logicals_rejected_in_pair_order(pairs, message):
+    torus = build_toric_torus(3)
+    (x1, z1), (x2, z2) = torus.logical_pairs
+    bad = np.zeros(torus.n, dtype=np.uint8)
+    bad[0] = 1
+    ops = {"x1": x1, "z1": z1, "x2": x2, "z2": z2,
+           "bad": PauliOp(np.zeros(torus.n, dtype=np.uint8), bad)}
+    logicals = tuple((ops[a], ops[b]) for a, b in pairs)
+    with pytest.raises(StabilizerError, match=f"^{message}$"):
+        stab.StabilizerCode(torus.n, torus.generator_matrix, logicals,
+                            torus.qubit_coords)
 
 
 @pytest.mark.parametrize("argv", [
@@ -244,6 +268,22 @@ def test_one_row_reduction_per_job(argv, monkeypatch, capsys):
     reduce_ = stab.gf2_row_reduce
     monkeypatch.setattr(stab, "gf2_row_reduce",
                         lambda mat: calls.append(mat.shape) or reduce_(mat))
+    assert cli.main(argv + ["--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["stabilizer", "verify", "--lattice", "4"],
+    ["stabilizer", "genon", "--L", "6",
+     "--protocol", "genon_mirror_swap_mirror"],
+    ["stabilizer", "genon", "--L", "6", "--protocol", "layer_swap_only"],
+])
+def test_one_automorphism_check_per_job(argv, monkeypatch, capsys):
+    calls = []
+    check = stab._assert_automorphism
+    monkeypatch.setattr(stab, "_assert_automorphism",
+                        lambda *args: calls.append(args[2]) or check(*args))
     assert cli.main(argv + ["--format", "json"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
@@ -289,7 +329,9 @@ def test_double_genon_loop_is_a_stabilizer():
 
 def test_merged_endpoint_stars_have_weight_eight():
     code = build_bilayer_genon_code(6)
-    weights = sorted(g.weight() for g in code.generators)
+    n = code.n
+    gens = code.generator_matrix
+    weights = sorted(PauliOp(row[:n], row[n:]).weight() for row in gens)
     assert weights.count(8) >= 4
 
 
@@ -333,8 +375,10 @@ def test_empty_protocol_is_identity():
 def test_k_is_invariant_under_automorphisms():
     code = build_bilayer_genon_code(6)
     for move in ("layer_swap", "reflect_vertical"):
-        geometric_permutation(code, move)  # raises if not an automorphism
-    assert code.k == 2
+        perm = geometric_permutation(code, move)
+        assert logical_action(code, perm)["k"] == 2
+        assert gf2_rank(perm.permute_bits(code.generator_matrix)) \
+            == code.n - 2
 
 
 # -- folded views ---------------------------------------------------------
@@ -388,7 +432,7 @@ def test_distance_bound_grows_with_cut_separation():
 def test_text_export_shape():
     code = build_toric_torus(2)
     lines = code.export_text().strip().split("\n")
-    assert len(lines) == len(code.generators)
+    assert len(lines) == len(code.generator_matrix)
     assert all(len(line) == code.n for line in lines)
     assert set("".join(lines)) <= set("IXYZ")
 

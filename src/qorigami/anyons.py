@@ -253,23 +253,21 @@ def builtin_model(name: str, k: int | None = None) -> ModularData:
 def fusion_tensor(model: ModularData, tol: float = 1e-9) -> np.ndarray:
     """Verlinde fusion coefficients N_{ab}^c, rounded to exact integers."""
     s = model.s_matrix
-    n = model.n
     d_row = s[0]
     if np.any(np.abs(d_row) < 1e-12):
         raise AnyonError("vanishing S_{0x}; Verlinde formula undefined")
-    out = np.zeros((n, n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                val = np.sum(s[a] * s[b] * s[c].conj() / d_row)
-                nearest = round(val.real)
-                if abs(val - nearest) > tol or nearest < 0:
-                    raise AnyonError(
-                        f"fusion N_{{{model.labels[a]},{model.labels[b]}}}^"
-                        f"{model.labels[c]} = {val} is not a nonnegative integer"
-                    )
-                out[a, b, c] = nearest
-    return out
+    vals = np.einsum("ax,bx,cx->abc", s / d_row, s, s.conj())
+    nearest = np.round(vals.real)
+    bad = (np.abs(vals - nearest) > tol) | (nearest < 0)
+    if bad.any():
+        a, b, c = np.argwhere(bad)[0]
+        # Report the value summed term by term, so that the message does
+        # not depend on the einsum's summation order.
+        val = np.sum(s[a] * s[b] * s[c].conj() / d_row)
+        raise AnyonError(
+            f"fusion N_{{{model.labels[a]},{model.labels[b]}}}^"
+            f"{model.labels[c]} = {val} is not a nonnegative integer")
+    return nearest.astype(int)
 
 
 def verify_modular_data(model: ModularData, tol: float = 1e-10) -> dict:

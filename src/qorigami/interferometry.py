@@ -12,10 +12,9 @@ subspace is measured, never silently ignored.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -59,12 +58,16 @@ class FockSystem:
 
     @cached_property
     def _basis(self) -> tuple[tuple[int, ...], ...]:
-        states = []
-        for occ in itertools.product(range(self.cutoff + 1),
-                                     repeat=self.n_modes):
-            if self.total_cap is None or sum(occ) <= self.total_cap:
-                states.append(occ)
-        return tuple(states)
+        """Occupations within both caps, in lexicographic order: each mode
+        extends every prefix by the occupations its remaining budget
+        allows, so no over-cap tuple is ever formed."""
+        budget = (self.n_modes * self.cutoff if self.total_cap is None
+                  else self.total_cap)
+        prefixes = [((), budget)]
+        for _ in range(self.n_modes):
+            prefixes = [(occ + (k,), left - k) for occ, left in prefixes
+                        for k in range(min(self.cutoff, left) + 1)]
+        return tuple(occ for occ, _ in prefixes)
 
     @cached_property
     def dim(self) -> int:
@@ -86,6 +89,34 @@ class FockSystem:
     @cached_property
     def _index(self) -> dict:
         return {occ: i for i, occ in enumerate(self.basis)}
+
+    @cached_property
+    def _occupations(self) -> np.ndarray:
+        """The basis as a read-only (dim, n_modes) integer array."""
+        occ = np.array(self.basis, dtype=int).reshape(self.dim, self.n_modes)
+        occ.flags.writeable = False
+        return occ
+
+    @cached_property
+    def _totals(self) -> np.ndarray:
+        return self._occupations.sum(axis=1)
+
+    @cached_property
+    def _sectors(self) -> tuple:
+        """Total-occupation sectors, the blocks of every number-conserving
+        operator (see `sector_expm`)."""
+        return conserved_sectors(self._totals)
+
+    @cached_property
+    def _operators(self) -> dict:
+        return {}
+
+    def _operator(self, key, build):
+        """State-independent operator `key` of this system, built once."""
+        ops = self._operators
+        if key not in ops:
+            ops[key] = build()
+        return ops[key]
 
     def mode(self, site: int, layer: int) -> int:
         if not (0 <= site < self.sites and 0 <= layer < self.modes_per_site):
@@ -110,7 +141,7 @@ class FockSystem:
         return self.annihilation(m).conj().T
 
     def number(self, m: int) -> np.ndarray:
-        return np.diag(np.array([occ[m] for occ in self.basis], dtype=complex))
+        return np.diag(self._occupations[:, m].astype(complex))
 
     def vacuum(self) -> np.ndarray:
         state = np.zeros(self.dim, dtype=complex)
@@ -127,15 +158,37 @@ class FockSystem:
         """Normalized random state, optionally capped in total occupation."""
         amps = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
         if max_total is not None:
-            for i, occ in enumerate(self.basis):
-                if sum(occ) > max_total:
-                    amps[i] = 0.0
+            amps[self._totals > max_total] = 0.0
         return amps / np.linalg.norm(amps)
 
     def occupation_projector(self, max_total: int) -> np.ndarray:
-        diag = np.array([1.0 if sum(occ) <= max_total else 0.0
-                         for occ in self.basis])
-        return np.diag(diag).astype(complex)
+        return np.diag((self._totals <= max_total).astype(complex))
+
+
+def conserved_sectors(labels: np.ndarray) -> tuple:
+    """Sectors of a conserved label, one per distinct value: an `np.ix_`
+    index pair for each sector's block, and the mask of matrix entries
+    joining two sectors."""
+    blocks = tuple(np.ix_(idx, idx) for idx in (
+        np.flatnonzero(labels == value) for value in np.unique(labels)))
+    return blocks, labels[:, None] != labels[None, :]
+
+
+def sector_expm(gen: np.ndarray, sectors: tuple) -> np.ndarray:
+    """exp(gen), one `expm` per sector block of `conserved_sectors`.
+
+    Conservation is checked exactly: any nonzero entry of gen between two
+    sectors raises, however small.  A diagonal gen needs no `expm`."""
+    blocks, cross = sectors
+    if gen[cross].any():
+        raise InterferometryError("generator couples conserved sectors")
+    diag = np.diagonal(gen)
+    if np.count_nonzero(gen) == np.count_nonzero(diag):
+        return np.diag(np.exp(diag))
+    out = np.zeros(gen.shape, dtype=complex)
+    for block in blocks:
+        out[block] = expm(gen[block])
+    return out
 
 
 def permutation_unitary(sys: FockSystem, mode_perm: dict) -> np.ndarray:
@@ -197,8 +250,8 @@ def beamsplitter(sys: FockSystem, site: int,
     """
     m1, m2 = sys.mode(site, layers[0]), sys.mode(site, layers[1])
     h = _tunneling_generator(sys, m1, m2)
-    u1 = expm(-1j * (math.pi / 4) * h)
-    phase = expm(1j * (math.pi / 2) * sys.number(m2))
+    u1 = sector_expm(-1j * (math.pi / 4) * h, sys._sectors)
+    phase = sector_expm(1j * (math.pi / 2) * sys.number(m2), sys._sectors)
     return phase.conj().T @ u1 @ phase
 
 
@@ -211,18 +264,32 @@ def antisymmetric_number(sys: FockSystem, site: int,
     return d.conj().T @ d
 
 
+def _antisymmetric_total(sys: FockSystem) -> np.ndarray:
+    """Sum over sites of the antisymmetric number of layers 0 and 1."""
+    return sum(antisymmetric_number(sys, site) for site in range(sys.sites))
+
+
+def _layer_swap(sys: FockSystem) -> np.ndarray:
+    """SWAP of layers 0 and 1 on every site, as one mode permutation."""
+    perm = {}
+    for site in range(sys.sites):
+        m1, m2 = sys.mode(site, 0), sys.mode(site, 1)
+        perm.update({m1: m2, m2: m1})
+    return permutation_unitary(sys, perm)
+
+
 def swap_expectation_via_parity(sys: FockSystem, state: np.ndarray,
                                 tol: float = 1e-9) -> dict:
-    """SWAP expectation as antisymmetric-mode parity, with a direct check."""
+    """SWAP expectation as antisymmetric-mode parity, with a direct check.
+
+    The parity exp(i pi sum_j n_tilde_j) and the direct SWAP are built once
+    per system and reused for every state."""
     if sys.modes_per_site < 2:
         raise InterferometryError("need two layers per site")
     state = np.asarray(state, dtype=complex)
-    parity = np.eye(sys.dim, dtype=complex)
-    direct = np.eye(sys.dim, dtype=complex)
-    for site in range(sys.sites):
-        parity = parity @ expm(1j * math.pi * antisymmetric_number(sys, site))
-        direct = direct @ swap_unitary(
-            sys, sys.mode(site, 0), sys.mode(site, 1))
+    parity, direct = sys._operator("parity_swap", lambda: (
+        sector_expm(1j * math.pi * _antisymmetric_total(sys), sys._sectors),
+        _layer_swap(sys)))
     val_parity = complex(state.conj() @ parity @ state)
     val_direct = complex(state.conj() @ direct @ state)
     diff = abs(val_parity - val_direct)
@@ -245,7 +312,7 @@ def _mode_transform_unitary(sys: FockSystem, single: np.ndarray,
         for l in range(len(modes)):
             if abs(h[k, l]) > 1e-15:
                 gen += h[k, l] * ops[k].conj().T @ ops[l]
-    return expm(gen)
+    return sector_expm(gen, sys._sectors)
 
 
 def twist_expectation(sys: FockSystem, state: np.ndarray, site: int = 0,
@@ -254,24 +321,16 @@ def twist_expectation(sys: FockSystem, state: np.ndarray, site: int = 0,
 
     Direct: permutation operator on layer occupations.  Fourier: transform
     the site's layers with the unitary DFT, then evaluate the phase-weighted
-    number formula prod_k exp(i 2 pi k n_k / N).
+    number formula prod_k exp(i 2 pi k n_k / N).  Both operators are
+    built once per (system, site) and reused for every state.
     """
     n = sys.modes_per_site
     if n < 2:
         raise InterferometryError("twist needs at least two layers")
     state = np.asarray(state, dtype=complex)
-    modes = [sys.mode(site, layer) for layer in range(n)]
-    perm = {modes[k]: modes[(k + 1) % n] for k in range(n)}
-    direct_op = permutation_unitary(sys, perm)
+    direct_op, fourier_op = sys._operator(
+        ("twist", site), lambda: _twist_operators(sys, site))
     direct = complex(state.conj() @ direct_op @ state)
-
-    dft = np.array([[np.exp(2j * np.pi * k * l / n) for l in range(n)]
-                    for k in range(n)]) / math.sqrt(n)
-    f = _mode_transform_unitary(sys, dft, modes)
-    phases = np.zeros((sys.dim, sys.dim), dtype=complex)
-    for k, m in enumerate(modes):
-        phases = phases + (2j * np.pi * k / n) * sys.number(m)
-    fourier_op = f.conj().T @ expm(phases) @ f
     fourier = complex(state.conj() @ fourier_op @ state)
     diff = abs(direct - fourier)
     if diff > tol:
@@ -279,29 +338,48 @@ def twist_expectation(sys: FockSystem, state: np.ndarray, site: int = 0,
     return {"direct": direct, "fourier": fourier, "difference": diff}
 
 
+def _twist_operators(sys: FockSystem,
+                     site: int) -> tuple[np.ndarray, np.ndarray]:
+    """(direct, Fourier) operators of the twist on one site."""
+    n = sys.modes_per_site
+    modes = [sys.mode(site, layer) for layer in range(n)]
+    perm = {modes[k]: modes[(k + 1) % n] for k in range(n)}
+    direct_op = permutation_unitary(sys, perm)
+    dft = np.array([[np.exp(2j * np.pi * k * l / n) for l in range(n)]
+                    for k in range(n)]) / math.sqrt(n)
+    f = _mode_transform_unitary(sys, dft, modes)
+    phases = sum((2j * np.pi * k / n) * sys.number(m)
+                 for k, m in enumerate(modes))
+    fourier_op = f.conj().T @ sector_expm(phases, sys._sectors) @ f
+    return direct_op, fourier_op
+
+
 # -- controlled SWAP ------------------------------------------------------
 
 
 def cswap(sys: FockSystem, ancilla_dim: int = 2,
           tol: float = 1e-10) -> np.ndarray:
-    """exp(-i pi n_C sum_j n_tilde_j), block I on |0>, SWAP on |1>."""
+    """exp(-i pi n_C sum_j n_tilde_j), block I on |0>, SWAP on |1>.
+
+    The generator conserves the pair (ancilla level, total occupation), so
+    it is exponentiated one such sector at a time."""
     if ancilla_dim < 2:
         raise InterferometryError("ancilla needs at least two levels")
-    total = np.zeros((sys.dim, sys.dim), dtype=complex)
-    swap_all = np.eye(sys.dim, dtype=complex)
-    for site in range(sys.sites):
-        total = total + antisymmetric_number(sys, site)
-        swap_all = swap_all @ swap_unitary(
-            sys, sys.mode(site, 0), sys.mode(site, 1))
-    n_c = np.diag(np.arange(ancilla_dim)).astype(complex)
-    u = expm(-1j * math.pi * np.kron(n_c, total))
     d = sys.dim
-    block0 = u[:d, :d]
-    block1 = u[d:2 * d, d:2 * d]
-    if np.max(np.abs(block0 - np.eye(d))) > tol:
-        raise InterferometryError("ancilla-0 block is not the identity")
-    if np.max(np.abs(block1 - swap_all)) > tol:
-        raise InterferometryError("ancilla-1 block is not SWAP")
+    n_c = np.diag(np.arange(ancilla_dim)).astype(complex)
+    labels = (np.repeat(np.arange(ancilla_dim), d)
+              * (sys.n_modes * sys.cutoff + 1)
+              + np.tile(sys._totals, ancilla_dim))
+    u = sector_expm(-1j * math.pi * np.kron(n_c, _antisymmetric_total(sys)),
+                    conserved_sectors(labels))
+    defect0 = np.max(np.abs(u[:d, :d] - np.eye(d)))
+    if defect0 > tol:
+        raise InterferometryError(
+            f"ancilla-0 block is not the identity (defect {defect0:.2e})")
+    defect1 = np.max(np.abs(u[d:2 * d, d:2 * d] - _layer_swap(sys)))
+    if defect1 > tol:
+        raise InterferometryError(
+            f"ancilla-1 block is not SWAP (defect {defect1:.2e})")
     return u
 
 
@@ -431,8 +509,9 @@ def timing_error_brute_force(j_dt: float, sites: int = 2) -> float:
     for site in range(sites):
         m1, m2 = sys.mode(site, 0), sys.mode(site, 1)
         h = _tunneling_generator(sys, m1, m2)
-        u1 = expm(-1j * (math.pi / 2 + j_dt) * h)
-        u2 = expm(1j * (math.pi / 2) * (sys.number(m1) + sys.number(m2)))
+        u1 = sector_expm(-1j * (math.pi / 2 + j_dt) * h, sys._sectors)
+        n12 = sys.number(m1) + sys.number(m2)
+        u2 = sector_expm(1j * (math.pi / 2) * n12, sys._sectors)
         u_err = u_err @ u2 @ u1
     return abs(complex(ghz.conj() @ u_err @ ghz))
 
@@ -466,8 +545,8 @@ def four_beamsplitter_check(seed: int = 0, samples: int = 20,
     for site, site_pairs in pairs.items():
         for la, lb in site_pairs:
             bm = beamsplitter(sys, site, (la, lb)) @ bm
-            parity = parity @ expm(
-                1j * math.pi * sys.number(sys.mode(site, lb)))
+            parity = parity @ sector_expm(
+                1j * math.pi * sys.number(sys.mode(site, lb)), sys._sectors)
             direct = direct @ swap_unitary(
                 sys, sys.mode(site, la), sys.mode(site, lb))
     observable = bm.conj().T @ parity @ bm

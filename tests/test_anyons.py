@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -110,6 +112,66 @@ def test_laughlin_mutual_statistics():
             for b in range(k):
                 mutual = m.theta[(a + b) % k] / (m.theta[a] * m.theta[b])
                 assert abs(mutual - cmath.exp(2j * cmath.pi * a * b / k)) < 1e-9
+
+
+def fusion_loop_oracle(model, tol=1e-9):
+    """The Verlinde sum entry by entry, in (a, b, c) loop order."""
+    s = model.s_matrix
+    d_row = s[0]
+    out = np.zeros((model.n,) * 3, dtype=int)
+    for a, b, c in itertools.product(range(model.n), repeat=3):
+        val = np.sum(s[a] * s[b] * s[c].conj() / d_row)
+        nearest = round(val.real)
+        if abs(val - nearest) > tol or nearest < 0:
+            raise AnyonError(
+                f"fusion N_{{{model.labels[a]},{model.labels[b]}}}^"
+                f"{model.labels[c]} = {val} is not a nonnegative integer")
+        out[a, b, c] = nearest
+    return out
+
+
+def fusion_outcome(fn, model):
+    try:
+        return fn(model)
+    except AnyonError as err:
+        return str(err)
+
+
+FUSION_MODELS = [builtin_model(name) for name in anyons._BUILDERS] + [
+    builtin_model("laughlin", k) for k in range(2, 17)]
+
+
+@pytest.mark.parametrize("model", FUSION_MODELS, ids=lambda m: m.name)
+def test_fusion_tensor_matches_loop_oracle(model):
+    expected = fusion_loop_oracle(model)
+    got = fusion_tensor(model)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("model", FUSION_MODELS, ids=lambda m: m.name)
+def test_fusion_tensor_reports_first_bad_entry(model):
+    rng = np.random.default_rng(model.n)
+    perturbed = []
+    for scale in (1e-2, 1e-5, 1e-8):
+        noise = rng.normal(size=model.s_matrix.shape) \
+            + 1j * rng.normal(size=model.s_matrix.shape)
+        perturbed.append(model.s_matrix + scale * noise)
+    # Negating a row keeps every sum integral but makes some negative.
+    flipped = model.s_matrix.copy()
+    flipped[-1] *= -1
+    perturbed.append(flipped)
+    raised = 0
+    for s in perturbed:
+        bad = dataclasses.replace(model, s_matrix=s)
+        expected = fusion_outcome(fusion_loop_oracle, bad)
+        got = fusion_outcome(fusion_tensor, bad)
+        if isinstance(expected, str):
+            raised += 1
+            assert got == expected
+        else:
+            assert np.array_equal(got, expected)
+    assert raised >= 2
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)

@@ -239,6 +239,34 @@ class TestMeasure:
                 "twist_identity_N3", "cswap_blocks",
                 "four_beamsplitter"} <= names
 
+    def test_violated_identity_is_a_fail_record(self, capsys):
+        code, report, err = run_json(
+            ["measure", "identity-suite", "--seed", "4", "--tolerance", "0"],
+            capsys)
+        assert code == 1 and err == ""
+        assert report["overall"] == "fail"
+        by_name = {r["name"]: r for r in report["records"]}
+        for name in ("parity_swap_identity", "twist_identity_N2",
+                     "twist_identity_N3", "four_beamsplitter"):
+            rec = by_name[name]
+            assert rec["status"] == "fail" and rec["tolerance"] == 0.0
+            assert 0.0 < rec["actual"] < 1e-13
+        # cswap keeps its own fixed tolerance.
+        assert by_name["cswap_blocks"]["status"] == "pass"
+
+    def test_violated_cswap_blocks_is_a_fail_record(self, monkeypatch,
+                                                    capsys):
+        cswap = interferometry.cswap
+        monkeypatch.setattr(interferometry, "cswap",
+                            lambda sys, tol: cswap(sys, tol=-1.0))
+        code, report, err = run_json(["measure", "identity-suite"], capsys)
+        assert code == 1 and err == ""
+        assert report["overall"] == "fail"
+        rec = {r["name"]: r for r in report["records"]}["cswap_blocks"]
+        assert rec["status"] == "fail"
+        assert rec["actual"].startswith(
+            "ancilla-0 block is not the identity (defect ")
+
     def test_identity_suite_over_dimension_cap_is_usage_error(self, capsys):
         code, out, err = run_json(
             ["measure", "identity-suite", "--max-dim", "5"], capsys)

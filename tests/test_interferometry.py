@@ -1,11 +1,13 @@
 """Tests for the truncated-Fock interferometry identities."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm as scipy_expm
 
-from qorigami import anyons, interferometry as itf
+from qorigami import anyons, cli, interferometry as itf
 
 
 def small_pair_system():
@@ -36,13 +38,35 @@ class TestFockSystem:
                             sites, modes, cutoff, total_cap)
 
     def test_dim_cap_checked_before_enumeration(self, monkeypatch):
-        def enumerate_basis(*args, **kwargs):
+        def enumerate_basis(self):
             raise AssertionError("basis enumerated before the cap check")
 
-        monkeypatch.setattr(itf.itertools, "product", enumerate_basis)
+        monkeypatch.setattr(itf.FockSystem, "_basis",
+                            property(enumerate_basis))
+        # The patch is on the enumeration path: reading a basis trips it.
+        with pytest.raises(AssertionError, match="basis enumerated"):
+            itf.FockSystem(sites=1, modes_per_site=2, cutoff=1).basis
         with pytest.raises(itf.InterferometryError, match="exceeds the cap"):
             itf.FockSystem(sites=3, modes_per_site=4, cutoff=3, total_cap=3,
                            max_dim=10)
+
+    def test_basis_is_the_filtered_product_in_order(self):
+        for sites in (1, 2):
+            for modes in (1, 2, 3):
+                for cutoff in (1, 2, 3):
+                    n = sites * modes
+                    caps = (None, -1, 0, cutoff - 1, cutoff, cutoff + 1,
+                            n * cutoff, n * cutoff + 1)
+                    for total_cap in caps:
+                        sys = itf.FockSystem(
+                            sites=sites, modes_per_site=modes, cutoff=cutoff,
+                            total_cap=total_cap, max_dim=10 ** 6)
+                        expected = tuple(
+                            occ for occ in itertools.product(
+                                range(cutoff + 1), repeat=n)
+                            if total_cap is None or sum(occ) <= total_cap)
+                        assert sys.basis == expected, (
+                            sites, modes, cutoff, total_cap)
 
     def test_commutator_on_safe_subspace(self):
         sys = itf.FockSystem(sites=1, modes_per_site=2, cutoff=3)
@@ -62,6 +86,103 @@ class TestFockSystem:
         rng = np.random.default_rng(0)
         state = sys.random_state(rng)
         assert abs(np.linalg.norm(state) - 1) < 1e-12
+
+
+def random_number_conserving_generator(sys, rng):
+    """Random sum_kl h_kl a_k^dag a_l plus a random function of the
+    occupations: it commutes with the total number."""
+    ops = [sys.annihilation(m) for m in range(sys.n_modes)]
+    h = rng.normal(size=(sys.n_modes,) * 2) \
+        + 1j * rng.normal(size=(sys.n_modes,) * 2)
+    gen = sum(h[k, l] * ops[k].conj().T @ ops[l]
+              for k in range(sys.n_modes) for l in range(sys.n_modes))
+    gen = gen + np.diag(rng.normal(size=sys.dim))
+    return 0.3 * gen
+
+
+class TestSectorExpm:
+    @pytest.mark.parametrize("kwargs", [
+        dict(sites=1, modes_per_site=2, cutoff=2),
+        dict(sites=1, modes_per_site=3, cutoff=2, total_cap=2),
+        dict(sites=2, modes_per_site=2, cutoff=2, total_cap=2),
+        dict(sites=1, modes_per_site=4, cutoff=3, total_cap=3),
+        dict(sites=3, modes_per_site=2, cutoff=3, total_cap=3),
+        dict(sites=2, modes_per_site=2, cutoff=1),
+    ])
+    def test_equals_full_expm(self, kwargs):
+        sys = itf.FockSystem(**kwargs)
+        rng = np.random.default_rng(sys.dim)
+        for _ in range(3):
+            gen = random_number_conserving_generator(sys, rng)
+            blocked = itf.sector_expm(gen, sys._sectors)
+            assert np.max(np.abs(blocked - scipy_expm(gen))) < 1e-12
+
+    def test_blocks_are_the_total_occupation_sectors(self):
+        sys = itf.FockSystem(sites=3, modes_per_site=2, cutoff=3,
+                             total_cap=3)
+        blocks, _ = sys._sectors
+        rows = [block[0].ravel() for block in blocks]
+        assert [len(r) for r in rows] == [1, 6, 21, 56]
+        for total, block in enumerate(rows):
+            assert all(sum(sys.basis[i]) == total for i in block)
+
+    def test_sector_coupling_rejected(self):
+        sys = itf.FockSystem(sites=1, modes_per_site=2, cutoff=2)
+        a = sys.annihilation(0)
+        with pytest.raises(itf.InterferometryError, match="couples"):
+            itf.sector_expm(a + a.conj().T, sys._sectors)
+        tiny = np.zeros((sys.dim, sys.dim), dtype=complex)
+        tiny[0, 1] = 1e-300
+        with pytest.raises(itf.InterferometryError, match="couples"):
+            itf.sector_expm(tiny, sys._sectors)
+
+
+def count_sector_expm(monkeypatch):
+    calls = []
+    sector_expm = itf.sector_expm
+
+    def counting(*args):
+        calls.append(1)
+        return sector_expm(*args)
+
+    monkeypatch.setattr(itf, "sector_expm", counting)
+    return calls
+
+
+class TestOperatorsOncePerSystem:
+    def test_parity_operator(self, monkeypatch):
+        calls = count_sector_expm(monkeypatch)
+        rng = np.random.default_rng(3)
+        for sys in (small_pair_system(), small_pair_system()):
+            for _ in range(5):
+                itf.swap_expectation_via_parity(sys, sys.random_state(rng))
+        assert len(calls) == 2
+
+    def test_twist_operators_per_site(self, monkeypatch):
+        calls = count_sector_expm(monkeypatch)
+        rng = np.random.default_rng(4)
+        sys = itf.FockSystem(sites=2, modes_per_site=3, cutoff=2,
+                             total_cap=2)
+        for site in (0, 1, 0, 1):
+            for _ in range(3):
+                out = itf.twist_expectation(sys, sys.random_state(rng),
+                                            site=site)
+                assert out["difference"] < 1e-9
+        # The mode transform and the phase operator, once per site.
+        assert len(calls) == 4
+
+    def test_identity_suite_takes_one_logm_per_twist_system(self, monkeypatch):
+        calls = []
+        logm = itf.logm
+
+        def counting_logm(*args, **kwargs):
+            calls.append(1)
+            return logm(*args, **kwargs)
+
+        monkeypatch.setattr(itf, "logm", counting_logm)
+        assert cli.main(["measure", "identity-suite", "--format",
+                         "json"]) == 0
+        assert len(calls) == 2
 
 
 class TestTunnelingPulses:

@@ -7,6 +7,7 @@ import time
 import numpy as np
 
 from qorigami import anyons, interferometry as itf, origami, stabilizer
+from qorigami.cli import GENON_PROTOCOL_WORDS, TORUS_MOVE_WORDS
 
 
 def main() -> int:
@@ -36,25 +37,33 @@ def main() -> int:
 
     print("== stabilizer oracle ==")
     toric = anyons.builtin_model("toric_code")
-    ras = stabilizer.symplectic_from_unitary(
-        anyons.rep_on_torus(toric, "Ra S"))
-    for L in (2, 3, 4):
-        code = stabilizer.build_toric_torus(L)
-        perm = stabilizer.geometric_permutation(code, "reflect_diagonal")
-        act = stabilizer.logical_action(code, perm)
-        ok = np.array_equal(act["symplectic"], ras)
-        failures += not ok
-        print(f"  torus L={L} reflect_diagonal {'ok' if ok else 'FAIL'}")
-    genon = stabilizer.build_bilayer_genon_code(6)
-    for protocol, word in (("genon_mirror_swap", "Ra S"),
-                           ("genon_mirror_swap_mirror", "S")):
-        act = stabilizer.protocol_action(
-            genon, stabilizer.NAMED_PROTOCOLS[protocol])
-        target = stabilizer.symplectic_from_unitary(
+
+    def target(word):
+        if not word:
+            return np.eye(4, dtype=np.uint8)
+        return stabilizer.symplectic_from_unitary(
             anyons.rep_on_torus(toric, word))
-        ok = np.array_equal(act["symplectic"], target)
+
+    torus_jobs = [(L, "reflect_diagonal") for L in (2, 3, 4)]
+    torus_jobs += [(L, move) for L in (6, 8) for move in TORUS_MOVE_WORDS]
+    for L, move in torus_jobs:
+        code = stabilizer.build_toric_torus(L)
+        perm = stabilizer.geometric_permutation(code, move)
+        act = stabilizer.logical_action(code, perm)
+        ok = np.array_equal(act["symplectic"],
+                            target(TORUS_MOVE_WORDS[move]))
         failures += not ok
-        print(f"  genon L=6 {protocol:26s} {'ok' if ok else 'FAIL'}")
+        print(f"  torus L={L} {move:30s} {'ok' if ok else 'FAIL'}")
+    genon_jobs = [(6, "genon_mirror_swap"), (6, "genon_mirror_swap_mirror"),
+                  (8, "genon_mirror_swap")]
+    for L, protocol in genon_jobs:
+        act = stabilizer.protocol_action(
+            stabilizer.build_bilayer_genon_code(L),
+            stabilizer.NAMED_PROTOCOLS[protocol])
+        ok = np.array_equal(act["symplectic"],
+                            target(GENON_PROTOCOL_WORDS[protocol]))
+        failures += not ok
+        print(f"  genon L={L} {protocol:26s} {'ok' if ok else 'FAIL'}")
 
     print("== interferometry ==")
     worst = itf.four_beamsplitter_check(seed=0, samples=50)

@@ -676,10 +676,12 @@ def extract_matrix_elements(measurements: dict, conj: tuple[int, ...],
                 rhs.append(measurements[key])
     mat = np.array(rows)
     vec = np.array(rhs)
-    if np.linalg.matrix_rank(mat, tol=1e-8) < n * n:
+    # One SVD: the rank is the count of lstsq's singular values above
+    # 1e-8, as matrix_rank(mat, tol=1e-8) would count them.
+    sol, _, _, singular = np.linalg.lstsq(mat, vec, rcond=None)
+    if np.count_nonzero(singular > 1e-8) < n * n:
         raise InterferometryError(
             "insufficient measurements: linear system is singular")
-    sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
     s = sol.reshape(n, n)
     residual = float(np.linalg.norm(mat @ sol - vec))
     if residual > tol:

@@ -17,6 +17,7 @@ dual loop just inside each layer's boundary to a stabilizer.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,27 +31,58 @@ class StabilizerError(ValueError):
 # -- GF(2) linear algebra -------------------------------------------------
 
 
+def _pack_rows(mat: np.ndarray) -> list[int]:
+    """Each row of a 0/1 matrix as an int whose bit j is column j."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little")
+            for i in range(packed.shape[0])]
+
+
+def _unpack_rows(words: list[int], cols: int) -> np.ndarray:
+    """Inverse of _pack_rows: a (len(words), cols) uint8 matrix."""
+    width = (cols + 7) // 8
+    data = b"".join(w.to_bytes(width, "little") for w in words)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(words), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+
+
+def _rref_words(words: list[int]) -> dict[int, int]:
+    """Reduced row echelon form of bitset rows, keyed by pivot bit.
+
+    An XOR basis keyed by each row's lowest set bit, then back-substituted
+    from the highest pivot down, so each row clears only the set bits it
+    has at higher pivots.  Keys ascend.
+    """
+    basis: dict[int, int] = {}
+    for w in words:
+        while w:
+            low = w & -w
+            row = basis.get(low)
+            if row is None:
+                basis[low] = w
+                break
+            w ^= row
+    reduced: dict[int, int] = {}
+    above = 0
+    for low in sorted(basis, reverse=True):
+        w = basis[low]
+        hits = w & above
+        while hits:
+            bit = hits & -hits
+            w ^= reduced[bit]
+            hits ^= bit
+        reduced[low] = w
+        above |= low
+    return dict(reversed(reduced.items()))
+
+
 def gf2_row_reduce(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form over GF(2); returns (reduced matrix, pivot columns)."""
-    m = (np.asarray(mat, dtype=np.uint8) % 2).copy()
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hits = np.nonzero(m[r:, c])[0]
-        if hits.size == 0:
-            continue
-        pivot = r + hits[0]
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        mask = m[:, c].copy()
-        mask[r] = 0
-        m[mask == 1] ^= m[r]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+    """Reduced row echelon form over GF(2); returns (rows, pivot columns)."""
+    m = np.asarray(mat, dtype=np.uint8) % 2
+    echelon = _rref_words(_pack_rows(m))
+    return (_unpack_rows(list(echelon.values()), m.shape[1]),
+            [bit.bit_length() - 1 for bit in echelon])
 
 
 def gf2_rank(mat: np.ndarray) -> int:
@@ -65,17 +97,37 @@ def gf2_in_span(mat: np.ndarray, vec: np.ndarray) -> bool:
     return not _gf2_residues(rows, pivots, np.asarray(vec)[None, :]).any()
 
 
+def _echelon_words(rows: np.ndarray, pivots: list[int]) -> dict[int, int]:
+    """Rows of gf2_row_reduce as bitsets keyed by pivot bit."""
+    return {1 << p: w for p, w in zip(pivots, _pack_rows(rows))}
+
+
+def _residue_words(echelon: dict[int, int], vecs: np.ndarray) -> list[int]:
+    """Bitsets of the rows of vecs with the echelon span eliminated.
+
+    The echelon rows are reduced, so a row carries no pivot bit but its
+    own: XOR-ing the row of each pivot bit a vector has set clears them
+    all, and the result is zero iff the vector lies in the span.
+    """
+    pivot_mask = sum(echelon)
+    out = []
+    for w in _pack_rows(np.asarray(vecs, dtype=np.uint8) % 2):
+        hits = w & pivot_mask
+        while hits:
+            bit = hits & -hits
+            w ^= echelon[bit]
+            hits ^= bit
+        out.append(w)
+    return out
+
+
 def _gf2_residues(rows: np.ndarray, pivots: list[int],
                   vecs: np.ndarray) -> np.ndarray:
-    """Eliminate every row of vecs against echelon rows with these pivots.
-
-    One pass over the pivots, one masked XOR each; a row of the result is
-    zero iff that row of vecs lies in the span of the echelon rows.
-    """
-    out = np.asarray(vecs, dtype=np.uint8) % 2
-    for row, col in zip(rows, pivots):
-        out[out[:, col] == 1] ^= row
-    return out
+    """Eliminate every row of vecs against the reduced echelon rows (with
+    these pivots) of gf2_row_reduce; a row of the result is zero iff that
+    row of vecs lies in their span."""
+    return _unpack_rows(_residue_words(_echelon_words(rows, pivots), vecs),
+                        np.shape(vecs)[1])
 
 
 def _symplectic_products(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -86,6 +138,33 @@ def _symplectic_products(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """
     return (np.einsum("ik,jk->ij", a[:, :n], b[:, n:])
             ^ np.einsum("ik,jk->ij", a[:, n:], b[:, :n])) & 1
+
+
+def _first_clash(gens: np.ndarray, n: int) -> int | None:
+    """Least i whose generator fails to commute with a later one, or None.
+
+    Lists every pair (i, j) of rows sharing a qubit where row i has X and
+    row j has Z; the symplectic product of {i, j} is the parity of how
+    often the pair appears, in either order.  Work and memory follow the
+    number of such pairs, not rows squared, and the pairs are counted
+    without a sort, whose kernels would add to a short process's peak
+    resident memory.
+    """
+    rows = gens.shape[0]
+    # (qubit, row) of every X and every Z entry, qubit by qubit: a flat
+    # scan of a transposed bool copy is several times faster than a 2-D
+    # np.nonzero.
+    xq, xr = np.divmod(np.flatnonzero(gens[:, :n].T.astype(bool)), rows)
+    zq, zr = np.divmod(np.flatnonzero(gens[:, n:].T.astype(bool)), rows)
+    z_per_qubit = np.bincount(zq, minlength=n)
+    counts = z_per_qubit[xq]
+    z_first = (np.cumsum(z_per_qubit) - z_per_qubit)[xq]
+    pair_first = np.cumsum(counts) - counts
+    i = np.repeat(xr, counts)
+    j = zr[np.repeat(z_first - pair_first, counts) + np.arange(counts.sum())]
+    keys = np.where(i < j, i * rows + j, j * rows + i)[i != j]
+    odd = [key for key, times in Counter(keys.tolist()).items() if times % 2]
+    return min(odd) // rows if odd else None
 
 
 # -- Pauli operators ------------------------------------------------------
@@ -213,12 +292,9 @@ class StabilizerCode:
             raise StabilizerError("generator size mismatch")
         gens.flags.writeable = False
         object.__setattr__(self, "generator_matrix", gens)
-        # Gram matrix X Zt + Z Xt = P + Pt with P = X Zt: one product.
-        p = np.einsum("ik,jk->ij", gens[:, :self.n], gens[:, self.n:])
-        clash = np.triu((p ^ p.T) & 1, 1).any(axis=1)
-        if clash.any():
-            raise StabilizerError(
-                f"generators do not commute: {int(np.argmax(clash))}")
+        clash = _first_clash(gens, self.n)
+        if clash is not None:
+            raise StabilizerError(f"generators do not commute: {clash}")
         logicals = self._logical_bits
         if _symplectic_products(logicals, gens, self.n).any():
             raise StabilizerError("logical fails to commute with group")
@@ -253,25 +329,26 @@ class StabilizerCode:
         return {coord: q for q, coord in self.qubit_coords.items()}
 
     @cached_property
-    def _echelon(self) -> tuple[np.ndarray, list[int]]:
-        """Reduced echelon rows and pivots of the generator matrix.
+    def _echelon(self) -> dict[int, int]:
+        """Reduced echelon rows of the generator matrix as bitsets, keyed
+        by pivot bit.
 
         Computed once per code; rank and every membership test reuse it.
         """
-        return gf2_row_reduce(self.generator_matrix)
+        return _echelon_words(*gf2_row_reduce(self.generator_matrix))
 
     @property
     def k(self) -> int:
-        return self.n - self._echelon[0].shape[0]
+        return self.n - len(self._echelon)
 
-    def _residues(self, bits: np.ndarray) -> np.ndarray:
-        """Rows of bits with the stabilizer span eliminated; a zero row is
-        a member of the group (up to phase)."""
-        return _gf2_residues(*self._echelon, bits)
+    def _residues(self, bits: np.ndarray) -> list[int]:
+        """Bitsets of the rows of bits with the stabilizer span eliminated;
+        a zero is a member of the group (up to phase)."""
+        return _residue_words(self._echelon, bits)
 
     def contains(self, op: PauliOp) -> bool:
         """Membership in the stabilizer group, ignoring phases."""
-        return not self._residues(op.symplectic_bits()[None, :]).any()
+        return not any(self._residues(op.symplectic_bits()[None, :]))
 
     def export_text(self) -> str:
         gens, n = self.generator_matrix, self.n
@@ -619,7 +696,7 @@ def _edge_map_to_perm(code: StabilizerCode, mapper, name: str,
 def _assert_automorphism(code: StabilizerCode, perm: QubitPermutation,
                          name: str) -> None:
     images = perm.permute_bits(code.generator_matrix)
-    if code._residues(images).any():
+    if any(code._residues(images)):
         raise StabilizerError(
             f"move {name!r} does not normalize the stabilizer group")
 
@@ -744,7 +821,7 @@ def logical_action(code: StabilizerCode, perm: QubitPermutation) -> dict:
     partners = logicals[np.arange(twok) ^ 1]
     action = _symplectic_products(partners, images, code.n)
     resid = images ^ (action.T @ logicals) % 2
-    if code._residues(resid).any():
+    if any(code._residues(resid)):
         raise StabilizerError(
             "conjugated logical is not expressible over the tableau")
     lam = _symplectic_form(twok)
@@ -882,14 +959,6 @@ def symplectic_from_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 # -- distance utilities ---------------------------------------------------
 
 
-def _pack_bits(vec: np.ndarray) -> int:
-    out = 0
-    for i, b in enumerate(vec):
-        if b:
-            out |= 1 << i
-    return out
-
-
 def exact_z_distance(code: StabilizerCode, limit_dim: int = 22) -> int:
     """Exact minimum weight of a Z-type logical, by kernel enumeration.
 
@@ -900,15 +969,15 @@ def exact_z_distance(code: StabilizerCode, limit_dim: int = 22) -> int:
     if basis.shape[0] > limit_dim:
         raise StabilizerError(
             f"kernel dimension {basis.shape[0]} exceeds limit {limit_dim}")
-    xlog_bits = [x for x in code._logical_bits[:, :code.n] if x.any()]
+    xlogs = code._logical_bits[:, :code.n]
+    xlog_words = _pack_rows(xlogs[xlogs.any(axis=1)])
     words = np.zeros(1, dtype=object)
     pairings = np.zeros(1, dtype=np.int64)
     words[0] = 0
-    for row in basis:
-        packed = _pack_bits(row)
+    for packed in _pack_rows(basis):
         pbits = 0
-        for j, xb in enumerate(xlog_bits):
-            if int(np.sum(row & xb)) % 2:
+        for j, xb in enumerate(xlog_words):
+            if (packed & xb).bit_count() % 2:
                 pbits |= 1 << j
         words = np.concatenate([words, np.array([w ^ packed for w in words],
                                                 dtype=object)])
@@ -926,19 +995,16 @@ def exact_z_distance(code: StabilizerCode, limit_dim: int = 22) -> int:
 
 
 def _gf2_nullspace(mat: np.ndarray) -> np.ndarray:
+    """One kernel vector per free column f of the reduced echelon form:
+    bit f set, and at each pivot the entry of that pivot's row in column f."""
     m, pivots = gf2_row_reduce(mat)
-    cols = mat.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = np.zeros(cols, dtype=np.uint8)
-        vec[f] = 1
-        for r, p in enumerate(pivots):
-            if m[r, f]:
-                vec[p] = 1
-        basis.append(vec)
-    return np.array(basis, dtype=np.uint8) if basis else \
-        np.zeros((0, cols), dtype=np.uint8)
+    free = np.ones(mat.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((free.size, mat.shape[1]), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = m[:, free].T
+    return basis
 
 
 def min_logical_weight_upper_bound(code: StabilizerCode, seed: int = 0,

@@ -370,6 +370,38 @@ class TestExtraction:
         assert out["residual"] < 1e-10
         assert np.max(np.abs(out["s_matrix"] - model.s_matrix)) < 1e-10
 
+    def test_one_decomposition_per_extraction(self, monkeypatch):
+        def no_rank(*args, **kwargs):
+            raise AssertionError("matrix_rank called")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
+        for k in range(2, 17):
+            model = anyons.builtin_model("laughlin", k=k)
+            meas = itf.synthetic_measurements(model)
+            out = itf.extract_matrix_elements(meas, model.conj)
+            assert out["residual"] < 1e-10
+            assert np.max(np.abs(out["s_matrix"] - model.s_matrix)) < 1e-10
+
+    def test_singular_system_raises(self, monkeypatch):
+        # Every complete set of preparations determines S, so the system
+        # is made singular by dropping its last unknown from whichever
+        # decomposition the extraction reads.
+        def drop_last_unknown(solver):
+            def patched(a, *args, **kwargs):
+                a = a.copy()
+                a[:, -1] = 0
+                return solver(a, *args, **kwargs)
+            return patched
+
+        for name in ("lstsq", "matrix_rank"):
+            monkeypatch.setattr(np.linalg, name,
+                                drop_last_unknown(getattr(np.linalg, name)))
+        model = anyons.builtin_model("laughlin", k=3)
+        meas = itf.synthetic_measurements(model)
+        with pytest.raises(itf.InterferometryError,
+                           match="linear system is singular"):
+            itf.extract_matrix_elements(meas, model.conj)
+
     def test_missing_preparation_listed(self):
         model = anyons.builtin_model("toric_code")
         meas = itf.synthetic_measurements(model)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qorigami import anyons, cli
 from qorigami import stabilizer as stab
@@ -78,6 +78,85 @@ def test_gf2_paths_agree_with_rank_comparison(data):
     # Each residue differs from its vector by an element of the span.
     for v, r in zip(vecs, resid):
         assert _reference_rank(list(mat) + [v ^ r]) == base
+
+
+def _masked_xor_row_reduce(mat):
+    """Reference row reduction sharing no code with the bitset kernel:
+    Gauss-Jordan on a uint8 matrix, one masked XOR per pivot column."""
+    m = (np.asarray(mat, dtype=np.uint8) % 2).copy()
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        hits = np.nonzero(m[r:, c])[0]
+        if hits.size == 0:
+            continue
+        pivot = r + hits[0]
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        mask = m[:, c].copy()
+        mask[r] = 0
+        m[mask == 1] ^= m[r]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def _masked_xor_residues(rows, pivots, vecs):
+    out = np.asarray(vecs, dtype=np.uint8) % 2
+    for row, col in zip(rows, pivots):
+        out[out[:, col] == 1] ^= row
+    return out
+
+
+# Widths around the byte and word edges; entries 0-3 so that a kernel
+# packing bits before reducing mod 2 reads a 2 as a 1.
+_widths = st.sampled_from([1, 3, 7, 9, 15, 17, 63, 65, 70])
+_wide_matrices = _widths.flatmap(lambda cols: st.tuples(
+    st.lists(st.lists(st.integers(0, 3), min_size=cols, max_size=cols)
+             | st.just([0] * cols), max_size=12),
+    st.lists(st.lists(st.integers(0, 3), min_size=cols, max_size=cols),
+             min_size=1, max_size=5),
+    st.just(cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_matrices)
+@example(([], [[1] * 8], 8))
+@example(([[0] * 64] * 5, [[3] * 64], 64))
+@example(([[2] * 65] * 3, [[0] * 65], 65))
+def test_row_reduce_and_residues_match_masked_xor(data):
+    rows, vecs, cols = data
+    mat = np.array(rows, dtype=np.uint8).reshape(len(rows), cols)
+    vecs = np.array(vecs, dtype=np.uint8)
+    want_rows, want_pivots = _masked_xor_row_reduce(mat)
+    got_rows, got_pivots = stab.gf2_row_reduce(mat)
+    assert got_pivots == want_pivots
+    assert got_rows.dtype == np.uint8 and got_rows.shape == want_rows.shape
+    assert got_rows.tobytes() == want_rows.tobytes()
+    want = _masked_xor_residues(want_rows, want_pivots, vecs)
+    got = stab._gf2_residues(got_rows, got_pivots, vecs)
+    assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("build", [lambda: build_toric_torus(6),
+                                   lambda: build_bilayer_genon_code(8)])
+def test_code_echelon_matches_masked_xor(build):
+    code = build()
+    rows, pivots = _masked_xor_row_reduce(code.generator_matrix)
+    got_rows, got_pivots = stab.gf2_row_reduce(code.generator_matrix)
+    assert got_pivots == pivots and np.array_equal(got_rows, rows)
+    assert code.k == code.n - len(pivots)
+    rng = np.random.default_rng(5)
+    vecs = np.vstack([rng.integers(0, 2, (20, 2 * code.n), dtype=np.uint8),
+                      code.generator_matrix[::7]])
+    want = _masked_xor_residues(rows, pivots, vecs)
+    assert [bool(w.any()) for w in want] == [bool(w)
+                                             for w in code._residues(vecs)]
+    assert np.array_equal(stab._gf2_residues(got_rows, got_pivots, vecs),
+                          want)
 
 
 def test_pauli_string_roundtrip():
@@ -235,6 +314,60 @@ def test_non_commuting_generators_rejected_with_first_index(position):
         stab.StabilizerCode(n, gens, torus.logical_pairs,
                             torus.qubit_coords)
     assert (first == 0) == (position == "first")
+
+
+def _single_qubit_row(gens, n, start):
+    """An X or Z on one qubit whose anticommuting generators all sit at
+    index >= start, the earliest such partner being nearest to start."""
+    best = None
+    for col in range(2 * n):
+        partners = np.nonzero(gens[:, (col + n) % (2 * n)])[0]
+        if partners.size and partners[0] >= start:
+            if best is None or partners[0] < best[0]:
+                best = (partners[0], col)
+    row = np.zeros((1, 2 * n), dtype=np.uint8)
+    row[0, best[1]] = 1
+    return row
+
+
+def _first_clash_dense(gens, n):
+    g = gens.astype(np.int64)
+    gram = (g[:, :n] @ g[:, n:].T + g[:, n:] @ g[:, :n].T) % 2
+    return next((i for i in range(len(g)) if gram[i, i + 1:].any()), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(0, 1), min_size=2 * n,
+                                  max_size=2 * n), max_size=7))))
+def test_sparse_commutation_check_matches_dense_gram(data):
+    # Small supports, so that Y entries, repeated pairs and rows that
+    # commute through two clashes all occur.
+    n, rows = data
+    gens = np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * n)
+    assert stab._first_clash(gens, n) == _first_clash_dense(gens, n)
+
+
+@pytest.mark.parametrize("build", [lambda: build_toric_torus(6),
+                                   lambda: build_bilayer_genon_code(8)],
+                         ids=["torus6", "genon8"])
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 0.6])
+def test_planted_clash_reports_its_row(build, fraction):
+    code = build()
+    gens, n = code.generator_matrix, code.n
+    first = int(fraction * len(gens))
+    later = len(gens) - 3
+    # Two planted rows, each clashing only with generators after it: the
+    # one planted at `first` must be reported, not the later one.
+    bad_late = _single_qubit_row(gens, n, later)
+    bad_first = _single_qubit_row(gens, n, first)
+    planted = np.vstack([gens[:first], bad_first, gens[first:later],
+                         bad_late, gens[later:]])
+    assert _first_clash_dense(planted, n) == first
+    with pytest.raises(StabilizerError,
+                       match=f"generators do not commute: {first}$"):
+        stab.StabilizerCode(n, planted, code.logical_pairs,
+                            code.qubit_coords)
 
 
 @pytest.mark.parametrize("pairs, message", [

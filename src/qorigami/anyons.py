@@ -102,11 +102,21 @@ class ModularData:
 
     @staticmethod
     def from_json(text: str) -> "ModularData":
+        """Inverse of to_json; AnyonError for a malformed document."""
         d = json.loads(text)
+        if not isinstance(d, dict) or not _JSON_FIELDS.keys() <= d.keys():
+            raise AnyonError("a model document is a JSON object with keys "
+                             + ", ".join(_JSON_FIELDS))
+        for key, (ndim, kinds) in _JSON_FIELDS.items():
+            try:
+                arr = np.asarray(d[key])
+            except ValueError:      # ragged nesting
+                arr = None
+            if arr is None or arr.ndim != ndim or arr.dtype.kind not in kinds:
+                raise AnyonError(f"model field {key!r} is not a {ndim}-D "
+                                 f"array of dtype kind {kinds!r}")
         s = np.array(d["s_real"]) + 1j * np.array(d["s_imag"])
-        theta = tuple(
-            complex(re, im) for re, im in zip(d["theta_real"], d["theta_imag"])
-        )
+        theta = tuple(map(complex, d["theta_real"], d["theta_imag"]))
         return ModularData(
             name=d["name"],
             labels=tuple(d["labels"]),
@@ -116,6 +126,13 @@ class ModularData:
             conj=tuple(d["conj"]),
             chiral=bool(d["chiral"]),
         )
+
+
+# Dimension and numpy dtype kinds of each field of a model document.
+_JSON_FIELDS = {"name": (0, "U"), "labels": (1, "U"), "dims": (1, "iuf"),
+                "s_real": (2, "iuf"), "s_imag": (2, "iuf"),
+                "theta_real": (1, "iuf"), "theta_imag": (1, "iuf"),
+                "conj": (1, "iu"), "chiral": (0, "b")}
 
 
 # -- built-in models -----------------------------------------------------

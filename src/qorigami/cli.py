@@ -134,7 +134,7 @@ def _load_model(target: str, k: int | None) -> anyons.ModularData:
                 return anyons.ModularData.from_json(fh.read())
         except OSError as err:
             raise CliError(f"cannot read model file {target}: {err}") from err
-        except (KeyError, json.JSONDecodeError, anyons.AnyonError) as err:
+        except (json.JSONDecodeError, anyons.AnyonError) as err:
             raise CliError(f"malformed model file {target}: {err}") from err
     try:
         return anyons.builtin_model(target, k=k)
@@ -333,6 +333,10 @@ def _extract(path: str, tol: float) -> list:
     doc = _read_json(path)
     if "model" not in doc or "records" not in doc:
         raise CliError("extraction input needs 'model' and 'records' keys")
+    if not isinstance(doc["model"], str):
+        raise CliError("'model' must be a model name or file path")
+    if doc.get("k") is not None and type(doc["k"]) is not int:
+        raise CliError("'k' must be an integer")
     model = _load_model(doc["model"], doc.get("k"))
     try:
         measured = interferometry.records_from_json(
@@ -356,11 +360,14 @@ def _extract(path: str, tol: float) -> list:
 def _read_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as err:
         raise CliError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise CliError(f"malformed JSON in {path}: {err}") from err
+    if not isinstance(doc, dict):
+        raise CliError(f"{path} must hold a JSON object")
+    return doc
 
 
 # -- report assembly ------------------------------------------------------

@@ -39,23 +39,16 @@ def _pack_rows(mat: np.ndarray) -> list[int]:
             for i in range(packed.shape[0])]
 
 
-def _unpack_rows(words: list[int], cols: int) -> np.ndarray:
-    """Inverse of _pack_rows: a (len(words), cols) uint8 matrix."""
-    width = (cols + 7) // 8
-    data = b"".join(w.to_bytes(width, "little") for w in words)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(words), width)
-    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+def gf2_row_reduce(mat: np.ndarray) -> dict[int, int]:
+    """Reduced row echelon form over GF(2) as {pivot bit: row bitset},
+    bit j of a row being column j; keys ascend.
 
-
-def _rref_words(words: list[int]) -> dict[int, int]:
-    """Reduced row echelon form of bitset rows, keyed by pivot bit.
-
-    An XOR basis keyed by each row's lowest set bit, then back-substituted
-    from the highest pivot down, so each row clears only the set bits it
-    has at higher pivots.  Keys ascend.
+    The rows are packed once into an XOR basis keyed by each row's lowest
+    set bit, then back-substituted from the highest pivot down, so each
+    row clears only the set bits it has at higher pivots.
     """
     basis: dict[int, int] = {}
-    for w in words:
+    for w in _pack_rows(np.asarray(mat, dtype=np.uint8) % 2):
         while w:
             low = w & -w
             row = basis.get(low)
@@ -77,29 +70,8 @@ def _rref_words(words: list[int]) -> dict[int, int]:
     return dict(reversed(reduced.items()))
 
 
-def gf2_row_reduce(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2); returns (rows, pivot columns)."""
-    m = np.asarray(mat, dtype=np.uint8) % 2
-    echelon = _rref_words(_pack_rows(m))
-    return (_unpack_rows(list(echelon.values()), m.shape[1]),
-            [bit.bit_length() - 1 for bit in echelon])
-
-
 def gf2_rank(mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
-    return gf2_row_reduce(mat)[0].shape[0]
-
-
-def gf2_in_span(mat: np.ndarray, vec: np.ndarray) -> bool:
-    """True iff vec lies in the GF(2) row span of mat."""
-    rows, pivots = gf2_row_reduce(mat)
-    return not _gf2_residues(rows, pivots, np.asarray(vec)[None, :]).any()
-
-
-def _echelon_words(rows: np.ndarray, pivots: list[int]) -> dict[int, int]:
-    """Rows of gf2_row_reduce as bitsets keyed by pivot bit."""
-    return {1 << p: w for p, w in zip(pivots, _pack_rows(rows))}
+    return len(gf2_row_reduce(mat))
 
 
 def _residue_words(echelon: dict[int, int], vecs: np.ndarray) -> list[int]:
@@ -119,15 +91,6 @@ def _residue_words(echelon: dict[int, int], vecs: np.ndarray) -> list[int]:
             hits ^= bit
         out.append(w)
     return out
-
-
-def _gf2_residues(rows: np.ndarray, pivots: list[int],
-                  vecs: np.ndarray) -> np.ndarray:
-    """Eliminate every row of vecs against the reduced echelon rows (with
-    these pivots) of gf2_row_reduce; a row of the result is zero iff that
-    row of vecs lies in their span."""
-    return _unpack_rows(_residue_words(_echelon_words(rows, pivots), vecs),
-                        np.shape(vecs)[1])
 
 
 def _symplectic_products(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -330,12 +293,9 @@ class StabilizerCode:
 
     @cached_property
     def _echelon(self) -> dict[int, int]:
-        """Reduced echelon rows of the generator matrix as bitsets, keyed
-        by pivot bit.
-
-        Computed once per code; rank and every membership test reuse it.
-        """
-        return _echelon_words(*gf2_row_reduce(self.generator_matrix))
+        """gf2_row_reduce of the generator matrix, computed once per code;
+        rank and every membership test reuse it."""
+        return gf2_row_reduce(self.generator_matrix)
 
     @property
     def k(self) -> int:
@@ -964,47 +924,32 @@ def exact_z_distance(code: StabilizerCode, limit_dim: int = 22) -> int:
 
     Only feasible when the Z-kernel dimension is at most limit_dim.
     """
-    xs = code.generator_matrix[:, :code.n]
-    basis = _gf2_nullspace(xs[xs.any(axis=1)])
-    if basis.shape[0] > limit_dim:
+    basis = _gf2_nullspace(code.generator_matrix[:, :code.n])
+    if len(basis) > limit_dim:
         raise StabilizerError(
-            f"kernel dimension {basis.shape[0]} exceeds limit {limit_dim}")
-    xlogs = code._logical_bits[:, :code.n]
-    xlog_words = _pack_rows(xlogs[xlogs.any(axis=1)])
-    words = np.zeros(1, dtype=object)
-    pairings = np.zeros(1, dtype=np.int64)
-    words[0] = 0
-    for packed in _pack_rows(basis):
-        pbits = 0
-        for j, xb in enumerate(xlog_words):
-            if (packed & xb).bit_count() % 2:
-                pbits |= 1 << j
-        words = np.concatenate([words, np.array([w ^ packed for w in words],
-                                                dtype=object)])
-        pairings = np.concatenate([pairings, pairings ^ pbits])
-    best = None
-    for w, p in zip(words, pairings):
-        if p == 0:
-            continue
-        wt = bin(w).count("1")
-        if best is None or wt < best:
-            best = wt
-    if best is None:
+            f"kernel dimension {len(basis)} exceeds limit {limit_dim}")
+    xlog_words = _pack_rows(code._logical_bits[:, :code.n])
+    # Every kernel word, beside the bitset of X logicals it anticommutes
+    # with; a word pairing with none lies in the stabilizer group.
+    words, pairings = [0], [0]
+    for w in basis:
+        pbits = sum(1 << j for j, xb in enumerate(xlog_words)
+                    if (w & xb).bit_count() % 2)
+        words += [v ^ w for v in words]
+        pairings += [p ^ pbits for p in pairings]
+    weights = [w.bit_count() for w, p in zip(words, pairings) if p]
+    if not weights:
         raise StabilizerError("no Z-type logical found in the kernel")
-    return best
+    return min(weights)
 
 
-def _gf2_nullspace(mat: np.ndarray) -> np.ndarray:
-    """One kernel vector per free column f of the reduced echelon form:
-    bit f set, and at each pivot the entry of that pivot's row in column f."""
-    m, pivots = gf2_row_reduce(mat)
-    free = np.ones(mat.shape[1], dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    basis = np.zeros((free.size, mat.shape[1]), dtype=np.uint8)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = m[:, free].T
-    return basis
+def _gf2_nullspace(mat: np.ndarray) -> list[int]:
+    """Kernel basis as bitsets: for each free column f of the reduced
+    echelon form, bit f and every pivot bit whose row has bit f set."""
+    echelon = gf2_row_reduce(mat)
+    pivot_mask = sum(echelon)
+    free = [1 << f for f in range(mat.shape[1]) if not (1 << f) & pivot_mask]
+    return [f | sum(p for p, row in echelon.items() if row & f) for f in free]
 
 
 def min_logical_weight_upper_bound(code: StabilizerCode, seed: int = 0,

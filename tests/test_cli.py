@@ -356,6 +356,37 @@ class TestReportShape:
         assert report["overall"] == "fail"
 
 
+_TORIC_DOC = json.loads(anyons.builtin_model("toric_code").to_json())
+_BAD_MODELS = [({**_TORIC_DOC, "dims": ["a"] * 4}, "'dims'", "str-dims"),
+               ({**_TORIC_DOC, "theta_real": ["a"] * 4}, "'theta_real'",
+                "str-theta"),
+               ([_TORIC_DOC], "JSON object", "list")]
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    pytest.param(["measure", "estimate"], [1, 2], "JSON object",
+                 id="estimate-list"),
+    pytest.param(["measure", "estimate"], "ab", "JSON object",
+                 id="estimate-string"),
+    pytest.param(["measure", "extract"], "ab", "JSON object",
+                 id="extract-string"),
+    pytest.param(["measure", "extract"], {"model": 5, "records": []},
+                 "'model'", id="extract-int-model"),
+    pytest.param(["measure", "extract"],
+                 {"model": "laughlin", "k": "x", "records": []}, "'k'",
+                 id="extract-str-k"),
+    *[pytest.param(["models", action], doc, message, id=f"{action}-{name}")
+      for action in ("verify", "show") for doc, message, name in _BAD_MODELS],
+])
+def test_malformed_input_document_is_usage_error(argv, doc, message,
+                                                 tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_json(argv + [str(path)], capsys)
+    assert code == 2 and out is None
+    assert message in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ["mcg", "eval", "S T"],
     ["mcg", "eval", "Q"],

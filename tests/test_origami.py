@@ -322,7 +322,7 @@ class TestTracing:
         assert traced.entries() == tuple(
             tuple(int(x) for x in row) for row in mirror.linear())
 
-    def test_null_subloop_deletion_preserves_class(self):
+    def test_zero_winding_detour_adds_nothing_to_class(self):
         g = builtin_protocol("fig3_genon4_RaS").geometry
         alpha, _ = reference_loops(g)
         segs = list(alpha.segments)
@@ -331,7 +331,7 @@ class TestTracing:
                                    + segs[4:]))
         assert unfold_class(g, decorated) == unfold_class(g, alpha)
 
-    def test_null_subloop_deletion_is_order_independent(self):
+    def test_two_zero_winding_detours_add_nothing_to_class(self):
         g = builtin_protocol("fig3_genon4_RaS").geometry
         alpha, _ = reference_loops(g)
         segs = list(alpha.segments)
@@ -341,9 +341,7 @@ class TestTracing:
         detour2 = [(e2, s2, l2), (s2, e2, l2)]
         decorated = LoopPath(tuple(
             segs[:4] + detour + segs[4:11] + detour2 + segs[11:]))
-        classes = {unfold_class(g, decorated)
-                   for seed in range(8)}
-        assert classes == {(1, 0)}
+        assert unfold_class(g, decorated) == (1, 0)
 
     def test_rewrite_budget_exhaustion(self):
         g = builtin_protocol("appE_12layer_C").geometry

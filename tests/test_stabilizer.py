@@ -15,7 +15,6 @@ from qorigami.stabilizer import (
     folded_view,
     genon_double_loop,
     geometric_permutation,
-    gf2_in_span,
     gf2_rank,
     logical_action,
     min_logical_weight_upper_bound,
@@ -35,8 +34,25 @@ def _target_hh_swap() -> np.ndarray:
 def test_gf2_rank_and_span():
     m = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
     assert gf2_rank(m) == 2
-    assert gf2_in_span(m, np.array([1, 0, 1], dtype=np.uint8))
-    assert not gf2_in_span(m, np.array([1, 1, 1], dtype=np.uint8))
+    echelon = stab.gf2_row_reduce(m)
+    inside, outside = stab._residue_words(
+        echelon, np.array([[1, 0, 1], [1, 1, 1]], dtype=np.uint8))
+    assert inside == 0
+    assert outside != 0
+
+
+def _unpack(words, cols):
+    """uint8 rows of bitset words, bit j of a word in column j."""
+    words = list(words)
+    return np.array([[(w >> j) & 1 for j in range(cols)] for w in words],
+                    dtype=np.uint8).reshape(len(words), cols)
+
+
+def _pivot_columns(echelon):
+    """Pivot columns of a bitset echelon, after checking that each key
+    is the lowest set bit of its row."""
+    assert all(bit == row & -row for bit, row in echelon.items())
+    return [bit.bit_length() - 1 for bit in echelon]
 
 
 def _reference_rank(rows) -> int:
@@ -71,13 +87,17 @@ def test_gf2_paths_agree_with_rank_comparison(data):
     # Definition: vec is in the row span iff appending it keeps the rank.
     want = [_reference_rank(list(mat) + [v]) == base for v in vecs]
     assert gf2_rank(mat) == base
-    assert [gf2_in_span(mat, v) for v in vecs] == want
-    echelon, pivots = stab.gf2_row_reduce(mat)
-    resid = stab._gf2_residues(echelon, pivots, vecs)
-    assert [not r.any() for r in resid] == want
+    resid = stab._residue_words(stab.gf2_row_reduce(mat), vecs)
+    assert [r == 0 for r in resid] == want
     # Each residue differs from its vector by an element of the span.
-    for v, r in zip(vecs, resid):
+    for v, r in zip(vecs, _unpack(resid, cols)):
         assert _reference_rank(list(mat) + [v ^ r]) == base
+    # The kernel: cols - rank independent words, each orthogonal to
+    # every row.
+    kernel = _unpack(stab._gf2_nullspace(mat), cols)
+    assert kernel.shape[0] == cols - base
+    assert _reference_rank(kernel) == cols - base
+    assert not ((mat.astype(np.int64) % 2) @ kernel.T % 2).any()
 
 
 def _masked_xor_row_reduce(mat):
@@ -132,13 +152,14 @@ def test_row_reduce_and_residues_match_masked_xor(data):
     mat = np.array(rows, dtype=np.uint8).reshape(len(rows), cols)
     vecs = np.array(vecs, dtype=np.uint8)
     want_rows, want_pivots = _masked_xor_row_reduce(mat)
-    got_rows, got_pivots = stab.gf2_row_reduce(mat)
-    assert got_pivots == want_pivots
-    assert got_rows.dtype == np.uint8 and got_rows.shape == want_rows.shape
+    echelon = stab.gf2_row_reduce(mat)
+    assert _pivot_columns(echelon) == want_pivots
+    got_rows = _unpack(echelon.values(), cols)
+    assert got_rows.shape == want_rows.shape
     assert got_rows.tobytes() == want_rows.tobytes()
     want = _masked_xor_residues(want_rows, want_pivots, vecs)
-    got = stab._gf2_residues(got_rows, got_pivots, vecs)
-    assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
+    got = _unpack(stab._residue_words(echelon, vecs), cols)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("build", [lambda: build_toric_torus(6),
@@ -146,8 +167,10 @@ def test_row_reduce_and_residues_match_masked_xor(data):
 def test_code_echelon_matches_masked_xor(build):
     code = build()
     rows, pivots = _masked_xor_row_reduce(code.generator_matrix)
-    got_rows, got_pivots = stab.gf2_row_reduce(code.generator_matrix)
-    assert got_pivots == pivots and np.array_equal(got_rows, rows)
+    echelon = stab.gf2_row_reduce(code.generator_matrix)
+    assert _pivot_columns(echelon) == pivots
+    assert np.array_equal(_unpack(echelon.values(), 2 * code.n), rows)
+    assert code._echelon == echelon
     assert code.k == code.n - len(pivots)
     rng = np.random.default_rng(5)
     vecs = np.vstack([rng.integers(0, 2, (20, 2 * code.n), dtype=np.uint8),
@@ -155,8 +178,8 @@ def test_code_echelon_matches_masked_xor(build):
     want = _masked_xor_residues(rows, pivots, vecs)
     assert [bool(w.any()) for w in want] == [bool(w)
                                              for w in code._residues(vecs)]
-    assert np.array_equal(stab._gf2_residues(got_rows, got_pivots, vecs),
-                          want)
+    assert np.array_equal(
+        _unpack(stab._residue_words(echelon, vecs), 2 * code.n), want)
 
 
 def test_pauli_string_roundtrip():
@@ -546,9 +569,24 @@ def test_identity_is_transversal():
 # -- distances ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("L", [2, 3, 4])
 def test_torus_distance_is_L(L):
     assert exact_z_distance(build_toric_torus(L)) == L
+
+
+def test_distance_limit_is_checked_before_enumeration(monkeypatch):
+    code = build_toric_torus(4)         # Z-kernel dimension 32 - 15 = 17
+    packed = []
+    pack = stab._pack_rows
+    monkeypatch.setattr(stab, "_pack_rows",
+                        lambda mat: packed.append(mat.shape) or pack(mat))
+    with pytest.raises(StabilizerError,
+                       match="^kernel dimension 17 exceeds limit 16$"):
+        exact_z_distance(code, limit_dim=16)
+    # Only the X checks were packed, to find the kernel; enumeration
+    # starts by packing the logicals, which never happened.
+    assert packed == [(code.generator_matrix.shape[0], code.n)]
+    assert exact_z_distance(code, limit_dim=17) == 4
 
 
 def test_distance_bound_grows_with_cut_separation():

@@ -314,7 +314,8 @@ def _estimate(path: str) -> list:
         raise CliError(f"unknown budget fields: {', '.join(sorted(bad))}")
     try:
         budget = interferometry.ErrorBudget(**doc)
-    except (TypeError, interferometry.InterferometryError) as err:
+    except (TypeError, OverflowError,
+            interferometry.InterferometryError) as err:
         raise CliError(f"invalid budget: {err}") from err
     records = [
         record("readout_fidelity", "pass",

@@ -428,6 +428,10 @@ class ErrorBudget:
     distance: int | None = None
 
     def __post_init__(self) -> None:
+        numbers = (self.N, self.J, self.dt, self.gap, self.temperature,
+                   self.readout, 0 if self.distance is None else self.distance)
+        if not all(map(math.isfinite, numbers)):
+            raise InterferometryError("budget fields must be finite")
         if self.N < 1 or self.J < 0 or self.dt < 0 or self.gap < 0 \
                 or self.temperature < 0:
             raise InterferometryError("physical parameters must be nonnegative")
@@ -460,21 +464,6 @@ def validity_warnings(budget: ErrorBudget) -> list[str]:
     return warnings
 
 
-def split_mode_fock_state(sys: FockSystem, site: int, quanta: int,
-                          sign: int = -1) -> np.ndarray:
-    """State with `quanta` excitations in the site's antisymmetric
-    (sign=-1) or symmetric (sign=+1) layer combination."""
-    m1, m2 = sys.mode(site, 0), sys.mode(site, 1)
-    d_dag = (sys.creation(m1) + sign * sys.creation(m2)) / math.sqrt(2.0)
-    state = sys.vacuum()
-    for _ in range(quanta):
-        state = d_dag @ state
-    norm = np.linalg.norm(state)
-    if norm < 1e-12:
-        raise InterferometryError("cutoff too small for requested quanta")
-    return state / norm
-
-
 def timing_error_brute_force(j_dt: float, sites: int = 2) -> float:
     """Dense overlap of a mistimed SWAP on an entangled two-quanta state.
 
@@ -485,24 +474,15 @@ def timing_error_brute_force(j_dt: float, sites: int = 2) -> float:
     """
     sys = FockSystem(sites=sites, modes_per_site=2, cutoff=2,
                      total_cap=2 * sites, max_dim=8000)
-    comp_sym = np.ones(1, dtype=complex)
-    comp_anti = np.ones(1, dtype=complex)
-    # Build the product states site by site, using that the full product
-    # basis factorizes over sites in order.
-    per_site = FockSystem(sites=1, modes_per_site=2, cutoff=2)
-    s_sym = split_mode_fock_state(per_site, 0, 2, sign=+1)
-    s_anti = split_mode_fock_state(per_site, 0, 2, sign=-1)
-    for _ in range(sites):
-        comp_sym = np.kron(comp_sym, s_sym)
-        comp_anti = np.kron(comp_anti, s_anti)
-    # Re-embed the product vectors into the capped basis.
-    full = FockSystem(sites=sites, modes_per_site=2, cutoff=2)
-    ghz_full = (comp_sym + comp_anti) / math.sqrt(2.0)
-    idx = sys.index()
+    # Each branch is prod_site (a1^dag +- a2^dag)^2 |0>, normalized.
     ghz = np.zeros(sys.dim, dtype=complex)
-    for i, occ in enumerate(full.basis):
-        if abs(ghz_full[i]) > 1e-14 and tuple(occ) in idx:
-            ghz[idx[tuple(occ)]] = ghz_full[i]
+    for sign in (+1, -1):
+        branch = sys.vacuum()
+        for site in range(sites):
+            d_dag = (sys.creation(sys.mode(site, 0))
+                     + sign * sys.creation(sys.mode(site, 1)))
+            branch = d_dag @ (d_dag @ branch)
+        ghz += branch / np.linalg.norm(branch)
     ghz = ghz / np.linalg.norm(ghz)
 
     u_err = np.eye(sys.dim, dtype=complex)

@@ -7,11 +7,11 @@ symplectic action for comparison with the anyon-level matrices.
 
 Conventions: qubits live on lattice edges; a star is the X product over the
 edges at a vertex, a plaquette the Z product over the edges of a face.  In
-the bilayer code every patch edge exists once per layer; crossing one of
-the two open branch-cut segments toggles the layer, objects sitting exactly
-on a cut line are nudged west, and the four cut endpoints carry a single
-merged weight-8 star because a walk around them closes only after two
-turns.  The planar outer boundary is declared charge-free by promoting the
+the bilayer code every patch edge exists once per layer; each of the two
+open branch cuts runs just east of a lattice column, a half-step along a row
+that passes a cut toggles the layer, and the four cut endpoints carry a
+single merged weight-8 star because a walk around them closes only after
+two turns.  The planar outer boundary is declared charge-free by promoting the
 dual loop just inside each layer's boundary to a stabilizer.
 """
 from __future__ import annotations
@@ -213,13 +213,6 @@ class QubitPermutation:
         return QubitPermutation(self.image[first.image],
                                 name=f"{self.name}*{first.name}")
 
-    def inverse(self) -> "QubitPermutation":
-        if self.tags:
-            raise StabilizerError("cannot invert tagged permutations")
-        inv = np.empty_like(self.image)
-        inv[self.image] = np.arange(self.n)
-        return QubitPermutation(inv, name=f"{self.name}^-1")
-
     def permute_bits(self, bits: np.ndarray) -> np.ndarray:
         """Conjugate each (x | z) row of bits by the permutation and tags."""
         n = self.n
@@ -379,10 +372,10 @@ def build_toric_torus(L: int) -> StabilizerCode:
 # -- bilayer genon code ---------------------------------------------------
 #
 # Planar patch [0, L] x [0, L], two layers, all edges duplicated per layer.
-# Cuts are vertical open segments {cx} x (ylo, yhi); points with x exactly
-# on a cut line and y within the closed cut range are nudged west by an
-# infinitesimal, represented exactly as a lexicographic (2*coord, nudge)
-# pair.  Crossings only ever occur on horizontal probe segments.
+# Points are doubled integers: vertices at (2x, 2y), face centres at
+# (2x + 1, 2y + 1) and edge midpoints between them.  A cut {cx} x (ylo, yhi)
+# runs just east of column cx, so a vertex or vertical edge on column cx
+# lies west of it; only half-steps along a row can cross it.
 
 
 def _genon_edges(L: int):
@@ -396,55 +389,25 @@ def _genon_edges(L: int):
     return edges
 
 
-def _eff_x(x2: int, y2: int, cuts) -> tuple[int, int]:
-    """Effective doubled x-coordinate with west nudge on cut lines."""
-    for cx, ylo, yhi in cuts:
-        if x2 == 2 * cx and 2 * ylo <= y2 <= 2 * yhi:
-            return (x2, -1)
-    return (x2, 0)
-
-
-def _h_cross(y2: int, xa: tuple[int, int], xb: tuple[int, int], cuts) -> int:
-    """Cut crossings of a horizontal segment at doubled height y2."""
-    lo, hi = min(xa, xb), max(xa, xb)
-    count = 0
-    for cx, ylo, yhi in cuts:
-        if 2 * ylo < y2 < 2 * yhi and lo < (2 * cx, 0) < hi:
-            count += 1
-    return count
-
-
-def _seg_cross(p: tuple[int, int, int], q: tuple[int, int, int], cuts) -> int:
-    """Crossing parity between effective points (x2, nudge, y2)."""
-    (xa, na, ya), (xb, nb, yb) = p, q
-    if ya == yb:
-        return _h_cross(ya, (xa, na), (xb, nb), cuts) % 2
-    if (xa, na) == (xb, nb):
-        return 0
-    # Mixed segments in this module never straddle a cut line: one endpoint
-    # sits nudged on the line and the other on the same lattice column.
-    if xa == xb:
-        return 0
-    raise StabilizerError("unsupported probe segment geometry")
-
-
-def _edge_eff_mid(e, cuts) -> tuple[int, int, int]:
+def _edge_mid(e) -> tuple[int, int]:
+    """Doubled midpoint of edge e = (x, y, o)."""
     x, y, o = e
-    if o == 0:
-        return (2 * x + 1, 0, 2 * y)
-    x2, nud = _eff_x(2 * x, 2 * y + 1, cuts)
-    return (x2, nud, 2 * y + 1)
+    return (2 * x + 1, 2 * y) if o == 0 else (2 * x, 2 * y + 1)
 
 
-def _vertex_eff(v, cuts) -> tuple[int, int, int]:
-    x, y = v
-    x2, nud = _eff_x(2 * x, 2 * y, cuts)
-    return (x2, nud, 2 * y)
+def _crosses(p: tuple[int, int], q: tuple[int, int], cuts) -> bool:
+    """Whether the half-step between doubled points p and q crosses a cut.
 
-
-def _face_center(f) -> tuple[int, int, int]:
-    x, y = f
-    return (2 * x + 1, 0, 2 * y + 1)
+    A step along a row at doubled height y2 crosses {cx} x (ylo, yhi) iff
+    2 ylo < y2 < 2 yhi and min(xa, xb) <= 2 cx < max(xa, xb); a step
+    along a column, with xa = xb, never crosses.
+    """
+    (xa, ya), (xb, _) = p, q
+    lo, hi = min(xa, xb), max(xa, xb)
+    for cx, ylo, yhi in cuts:
+        if 2 * ylo < ya < 2 * yhi and lo <= 2 * cx < hi:
+            return True
+    return False
 
 
 def _validate_cuts(L: int, cuts) -> tuple:
@@ -481,7 +444,7 @@ def _genon_walk(L: int, cuts, points, sheet: int, dual: bool) -> list[int]:
     walk steps along edges between vertices (Z loops).  The sheet toggles
     at each cut crossing, and the walk must close on its starting sheet.
     """
-    point = _face_center if dual else (lambda v: _vertex_eff(v, cuts))
+    off = int(dual)
     pick = max if dual else min
     seq = list(points) + [points[0]]
     out = []
@@ -492,9 +455,9 @@ def _genon_walk(L: int, cuts, points, sheet: int, dual: bool) -> list[int]:
         # A dual step along a row crosses a vertical edge; a direct step
         # along a row runs on a horizontal one.
         e = (pick(x1, x2), pick(y1, y2), int((y1 == y2) == dual))
-        mid = _edge_eff_mid(e, cuts)
-        c1 = _seg_cross(point((x1, y1)), mid, cuts)
-        c2 = _seg_cross(mid, point((x2, y2)), cuts)
+        mid = _edge_mid(e)
+        c1 = _crosses((2 * x1 + off, 2 * y1 + off), mid, cuts)
+        c2 = _crosses(mid, (2 * x2 + off, 2 * y2 + off), cuts)
         out.append(_genon_qubit(L, e, cur ^ c1))
         cur ^= c1 ^ c2
     if cur != sheet:
@@ -504,8 +467,8 @@ def _genon_walk(L: int, cuts, points, sheet: int, dual: bool) -> list[int]:
 
 def build_bilayer_genon_code(L: int, cuts=None) -> StabilizerCode:
     """Two-layer planar toric-code patch with two vertical branch cuts."""
-    if L < 4:
-        raise StabilizerError("genon patch needs L >= 4")
+    if L < 5:
+        raise StabilizerError("genon patch needs L >= 5")
     if cuts is None:
         d = max(1, L // 6)
         cuts = ((L // 2 - d, L // 2 - d, L // 2 + d),
@@ -519,8 +482,6 @@ def build_bilayer_genon_code(L: int, cuts=None) -> StabilizerCode:
 
     def star_qubits(v, sheet):
         x, y = v
-        out = []
-        veff = _vertex_eff(v, cuts)
         incident = []
         if x < L:
             incident.append((x, y, 0))
@@ -530,19 +491,14 @@ def build_bilayer_genon_code(L: int, cuts=None) -> StabilizerCode:
             incident.append((x, y, 1))
         if y > 0:
             incident.append((x, y - 1, 1))
-        for e in incident:
-            tog = _seg_cross(veff, _edge_eff_mid(e, cuts), cuts)
-            out.append(_genon_qubit(L, e, sheet ^ tog))
-        return out
+        return [_genon_qubit(L, e, sheet ^ _crosses(
+                    (2 * x, 2 * y), _edge_mid(e), cuts)) for e in incident]
 
     def plaquette_qubits(f, sheet):
         x, y = f
-        out = []
-        center = _face_center(f)
-        for e in ((x, y, 0), (x, y + 1, 0), (x, y, 1), (x + 1, y, 1)):
-            tog = _seg_cross(center, _edge_eff_mid(e, cuts), cuts)
-            out.append(_genon_qubit(L, e, sheet ^ tog))
-        return out
+        return [_genon_qubit(L, e, sheet ^ _crosses(
+                    (2 * x + 1, 2 * y + 1), _edge_mid(e), cuts))
+                for e in ((x, y, 0), (x, y + 1, 0), (x, y, 1), (x + 1, y, 1))]
 
     gens = [("X", star_qubits((x, y), sheet))
             for x in range(L + 1) for y in range(L + 1)
@@ -713,8 +669,8 @@ def _genon_moves(code: StabilizerCode):
 
     def in_central_square(coord):
         """Inter-cut square; half-open so that the swapped patch boundary
-        matches the west-nudge convention of the cuts (east on-cut column
-        and south row in, west column and north row out)."""
+        follows the cuts, which run just east of their columns (east
+        on-cut column and south row in, west column and north row out)."""
         _, (x, y, o) = coord
         lo, hi = (c1x, c2x - 1) if o == "H" else (c1x + 1, c2x)
         return lo <= x <= hi and ylo <= y <= yhi - 1
@@ -726,8 +682,9 @@ def _genon_moves(code: StabilizerCode):
     mirror = _genon_edge_mapper(lambda p: (L - p[0], p[1]))
 
     def reflect_vertical(coord):
-        # The mirror swaps the two cuts but flips the west-nudge side;
-        # compensate with a sheet swap on the on-cut columns.
+        # The mirror swaps the two cuts but puts each just west of its
+        # column instead of east; compensate with a sheet swap on the
+        # on-cut columns.
         image = mirror(coord)
         return _flip_sheet(image) if on_cut_columns(image) else image
 
@@ -741,8 +698,7 @@ def _genon_moves(code: StabilizerCode):
     }
 
 
-def geometric_permutation(code: StabilizerCode, move: str,
-                          region: str | None = None) -> QubitPermutation:
+def geometric_permutation(code: StabilizerCode, move: str) -> QubitPermutation:
     """Qubit permutation realizing a lattice isometry or layer swap.
 
     The permutation need not normalize the stabilizer group (a mirror may
@@ -757,14 +713,9 @@ def geometric_permutation(code: StabilizerCode, move: str,
         raise StabilizerError(f"no moves defined for code kind {kind!r}")
     if move not in moves:
         raise StabilizerError(f"unknown {label} move {move!r}")
-    name, tags = move, None
-    if move == "half_translation":
-        tags = {q: "H" for q in range(code.n)}
-    if move == "patch_layer_swap":
-        if region not in (None, "central_square"):
-            raise StabilizerError(f"unknown region {region!r}")
-        name = f"{move}[central_square]"
-    return _edge_map_to_perm(code, moves[move], name, tags)
+    tags = ({q: "H" for q in range(code.n)} if move == "half_translation"
+            else None)
+    return _edge_map_to_perm(code, moves[move], move, tags)
 
 
 # -- logical action -------------------------------------------------------
@@ -798,31 +749,17 @@ def _symplectic_form(twok: int) -> np.ndarray:
 
 
 def protocol_action(code: StabilizerCode, steps) -> dict:
-    """Logical action of a protocol given as move names or permutations.
+    """Logical action of a protocol given as a list of move names.
 
     Individual steps need not normalize the stabilizer group (a mirror may
     move the branch cuts); only the composite must.
     """
     composite = QubitPermutation(np.arange(code.n), name="identity")
-    for step in steps:
-        if isinstance(step, QubitPermutation):
-            perm = step
-        elif isinstance(step, tuple):
-            perm = geometric_permutation(code, step[0], region=step[1])
-        else:
-            perm = geometric_permutation(code, step)
-        composite = perm.compose(composite)
-    composite = QubitPermutation(
-        composite.image, name="+".join(_step_name(s) for s in steps) or "identity")
+    for move in steps:
+        composite = geometric_permutation(code, move).compose(composite)
+    composite = QubitPermutation(composite.image,
+                                 name="+".join(steps) or "identity")
     return logical_action(code, composite)
-
-
-def _step_name(step) -> str:
-    if isinstance(step, QubitPermutation):
-        return step.name
-    if isinstance(step, tuple):
-        return step[0]
-    return str(step)
 
 
 NAMED_PROTOCOLS = {

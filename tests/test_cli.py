@@ -387,6 +387,21 @@ def test_malformed_input_document_is_usage_error(argv, doc, message,
     assert message in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"N": 1e400}', "finite", id="1e400"),
+    pytest.param('{"dt": NaN}', "finite", id="NaN"),
+    pytest.param('{"J": Infinity, "dt": 0.1}', "finite", id="Infinity"),
+    pytest.param('{"distance": -Infinity}', "finite", id="-Infinity"),
+    pytest.param('{"N": 1' + "0" * 400 + "}", "too large", id="10**400"),
+])
+def test_non_finite_budget_is_usage_error(text, message, tmp_path, capsys):
+    path = tmp_path / "budget.json"
+    path.write_text(text)
+    code, out, err = run_json(["measure", "estimate", str(path)], capsys)
+    assert code == 2 and out is None
+    assert message in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ["mcg", "eval", "S T"],
     ["mcg", "eval", "Q"],

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -461,6 +463,57 @@ def test_genon_code_parameters():
     (x1, z1), (x2, z2) = code.logical_pairs
     assert not x1.commutes_with(z1)
     assert not x2.commutes_with(z2)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_genon_patch_needs_room_for_two_cuts(L):
+    # Cut columns must lie in [2, L - 2]: below L = 5 two cannot fit.
+    with pytest.raises(StabilizerError, match=r"genon patch needs L >= 5"):
+        build_bilayer_genon_code(L)
+    with pytest.raises(StabilizerError, match=r"genon patch needs L >= 5"):
+        build_bilayer_genon_code(L, cuts=((2, 1, 3), (3, 1, 3)))
+
+
+# First 16 hex digits of sha256(generator_matrix + logical bits): a change
+# to any generator, logical or their order in these codes shows here.
+@pytest.mark.parametrize("L, cuts, digest", [
+    (6, None, "bb8ca704dfef0906"),
+    (7, None, "b245d85b86db11b3"),
+    (8, None, "cf1af9180d26a5b7"),
+    (9, None, "4dc4948d78e4a305"),
+    (10, None, "9d384cda66ca57eb"),
+    (5, ((2, 1, 3), (3, 1, 3)), "97cbf1ef7401be85"),
+    (8, ((2, 1, 7), (6, 1, 7)), "b4cf426c8c094239"),
+    (10, ((4, 2, 8), (5, 2, 8)), "648252921172f1e0"),
+    (10, ((3, 2, 8), (6, 2, 8)), "cbf22d67be573d82"),
+])
+def test_genon_code_matches_pinned_digest(L, cuts, digest):
+    code = build_bilayer_genon_code(L, cuts)
+    data = code.generator_matrix.tobytes() + code._logical_bits.tobytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+
+def test_crossing_rule_on_doubled_points():
+    cuts = ((3, 2, 5),)  # runs just east of column 3, i.e. x2 = 6
+    # A vertex on the cut column lies west of the cut: its east arm
+    # crosses, its west arm does not, in either direction.
+    assert stab._crosses((6, 6), (7, 6), cuts)
+    assert stab._crosses((7, 6), (6, 6), cuts)
+    assert not stab._crosses((5, 6), (6, 6), cuts)
+    # A face centre east of the column crosses to its west edge.
+    assert stab._crosses((7, 5), (6, 5), cuts)
+    assert not stab._crosses((5, 5), (6, 5), cuts)
+    # Heights strictly inside (2 ylo, 2 yhi) only: the endpoints and
+    # beyond are open.
+    assert stab._crosses((6, 5), (7, 5), cuts)
+    assert stab._crosses((6, 9), (7, 9), cuts)
+    for y2 in (3, 4, 10, 11):
+        assert not stab._crosses((6, y2), (7, y2), cuts)
+    # Steps along a column never cross.
+    assert not stab._crosses((6, 5), (6, 6), cuts)
+    assert not stab._crosses((7, 5), (7, 6), cuts)
+    assert stab._edge_mid((3, 4, 0)) == (7, 8)
+    assert stab._edge_mid((3, 4, 1)) == (6, 9)
 
 
 def test_genon_cut_validation():

@@ -106,7 +106,7 @@ def cmd_models(args, caps) -> list:
             needs_k = " (needs --k)" if name == "laughlin" else ""
             records.append(record(name, "pass", actual=f"available{needs_k}"))
         return records
-    model = _load_model(args.target, args.k)
+    model = _load_model(args.target, args.k, args.max_dim)
     if args.action == "show":
         trace_s = complex(np.trace(model.s_matrix))
         records.append(record(f"{model.name}:labels", "pass",
@@ -127,7 +127,8 @@ def cmd_models(args, caps) -> list:
     return records
 
 
-def _load_model(target: str, k: int | None) -> anyons.ModularData:
+def _load_model(target: str, k: int | None,
+                max_dim: int) -> anyons.ModularData:
     if target.endswith(".json") or os.path.sep in target:
         try:
             with open(target, encoding="utf-8") as fh:
@@ -136,6 +137,13 @@ def _load_model(target: str, k: int | None) -> anyons.ModularData:
             raise CliError(f"cannot read model file {target}: {err}") from err
         except (json.JSONDecodeError, anyons.AnyonError) as err:
             raise CliError(f"malformed model file {target}: {err}") from err
+    # The Verlinde sum of level k has k^4 terms.  It may do as much work
+    # as one pass over the largest dense matrix the caps allow, max_dim^2
+    # entries (none for a max_dim below 1).
+    cap = max(max_dim, 0) ** 2
+    if target == "laughlin" and k is not None and k ** 4 > cap:
+        raise CliError(f"laughlin level k = {k} exceeds the max_dim cap: "
+                       f"k^4 must be at most max_dim^2 = {cap}")
     try:
         return anyons.builtin_model(target, k=k)
     except anyons.AnyonError as err:
@@ -260,7 +268,7 @@ def cmd_measure(args, caps) -> list:
         return _identity_suite(args.seed, args.tolerance, args.max_dim)
     if args.action == "estimate":
         return _estimate(args.path)
-    return _extract(args.path, args.tolerance)
+    return _extract(args.path, args.tolerance, args.max_dim)
 
 
 def _identity_suite(seed: int, tol: float, max_dim: int) -> list:
@@ -330,7 +338,7 @@ def _estimate(path: str) -> list:
     return records
 
 
-def _extract(path: str, tol: float) -> list:
+def _extract(path: str, tol: float, max_dim: int) -> list:
     doc = _read_json(path)
     if "model" not in doc or "records" not in doc:
         raise CliError("extraction input needs 'model' and 'records' keys")
@@ -338,7 +346,7 @@ def _extract(path: str, tol: float) -> list:
         raise CliError("'model' must be a model name or file path")
     if doc.get("k") is not None and type(doc["k"]) is not int:
         raise CliError("'k' must be an integer")
-    model = _load_model(doc["model"], doc.get("k"))
+    model = _load_model(doc["model"], doc.get("k"), max_dim)
     try:
         measured = interferometry.records_from_json(
             json.dumps(doc["records"]))

@@ -19,10 +19,12 @@ from __future__ import annotations
 import json
 import math
 import re
+import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from . import mcg
 
@@ -33,6 +35,44 @@ class OrigamiError(ValueError):
 
 class RewriteBudgetError(OrigamiError):
     """Raised when a folded path needs more rewrites than the budget."""
+
+
+# Geometries whose derived tracing data (see _kept) one process keeps:
+# probe paths take about 30 KB per geometry, so they are kept for the
+# geometries traced last rather than for every geometry a caller holds.
+_KEPT_GEOMETRIES = 32
+_kept_store: OrderedDict = OrderedDict()  # id -> (geometry, {name: value})
+_kept_lock = threading.Lock()
+
+
+class _kept:
+    """A cached_property whose value lives in _kept_store, not on the
+    instance: the store keeps the values of the _KEPT_GEOMETRIES
+    geometries used last and evicts the least recently used, which
+    computes them again when next used.  An entry holds its geometry, so
+    no other object can take its id while the entry lives."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        with _kept_lock:
+            entry = _kept_store.get(id(obj))
+            if entry is None:
+                entry = _kept_store[id(obj)] = (obj, {})
+                while len(_kept_store) > _KEPT_GEOMETRIES:
+                    _kept_store.popitem(last=False)
+            else:
+                _kept_store.move_to_end(id(obj))
+        # Two threads may both compute a missing value; both get one.
+        values = entry[1]
+        if self.name not in values:
+            values[self.name] = self.fn(obj)
+        return values[self.name]
 
 
 @contextmanager
@@ -50,7 +90,7 @@ def _document(kind: str):
 # -- exact affine maps ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineMap:
     """Exact planar map (x, y) -> (a x + b y + e, c x + d y + f)."""
 
@@ -63,8 +103,8 @@ class AffineMap:
 
     @classmethod
     def make(cls, a, b, c, d, e=0, f=0) -> "AffineMap":
-        return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d),
-                   Fraction(e), Fraction(f))
+        return cls(*(v if isinstance(v, Fraction) else Fraction(v)
+                     for v in (a, b, c, d, e, f)))
 
     def apply(self, p):
         return (self.a * p[0] + self.b * p[1] + self.e,
@@ -262,28 +302,43 @@ class FoldGeometry:
             raise OrigamiError(f"unknown region {name!r}")
         return self.regions[name]
 
-    def locate(self, p):
+    def locate(self, p, q: int = 1):
         """First folded (layer, lattice shift) covering a base point.
 
-        Layers are tried in order, and within a layer the shifts in
-        _OFFSETS order; a shift covers p when the chart's inverse maps
-        p + shift into the footprint, boundary included.
+        The point is p, or, for q > 1, the integers p over q.  Layers are
+        tried in order, and within a layer the shifts in _OFFSETS order;
+        a shift covers the point when the chart's inverse maps point +
+        shift into the footprint, boundary included.  Shifts that leave
+        the bounding box of the layer's sheet are skipped untested.
         """
-        x, y = Fraction(p[0]), Fraction(p[1])
-        q = math.lcm(x.denominator, y.denominator)
-        nx = x.numerator * (q // x.denominator)
-        ny = y.numerator * (q // y.denominator)
-        for layer, rows in enumerate(self._sheet_rows, start=1):
+        if q == 1:
+            x, y = Fraction(p[0]), Fraction(p[1])
+            q = math.lcm(x.denominator, y.denominator)
+            nx = x.numerator * (q // x.denominator)
+            ny = y.numerator * (q // y.denominator)
+        else:
+            nx, ny = p
+        for layer, (rows, den, xlo, xhi, ylo, yhi) in enumerate(
+                self._sheets, start=1):
+            # Shifts t with lo <= (n + q t) / q <= hi, the box over den.
+            xd, yd, qd = nx * den, ny * den, q * den
+            tx_lo, tx_hi = -((xd - xlo * q) // qd), (xhi * q - xd) // qd
+            ty_lo, ty_hi = -((yd - ylo * q) // qd), (yhi * q - yd) // qd
             for tx in _OFFSETS:
+                if not tx_lo <= tx <= tx_hi:
+                    continue
                 sx = nx + q * tx
                 for ty in _OFFSETS:
-                    if _rows_agree(rows, sx, ny + q * ty, q):
+                    if ty_lo <= ty <= ty_hi and _rows_agree(
+                            rows, sx, ny + q * ty, q):
                         return (layer, (tx, ty))
         return None
 
-    @cached_property
-    def _sheet_rows(self):
-        """Per layer, integer edge rows (A, B, C) of the chart's footprint.
+    @_kept
+    def _sheets(self):
+        """Per layer, (rows, den, xlo, xhi, ylo, yhi): integer edge rows
+        (A, B, C) of the chart's footprint, and the bounding box of its
+        image, with the image's vertices as integers over den.
 
         A chart maps the footprint onto a convex polygon in the base, and
         it maps cross products of the footprint's edge test to the same
@@ -293,33 +348,55 @@ class FoldGeometry:
         q (p + shift) are integers.  This is _point_in_convex in exact
         integer arithmetic, without applying the inverse per candidate.
         """
+        k, charts = self._int_charts
+        fd = math.lcm(*(c.denominator for v in self.footprint for c in v))
+        foot = [tuple(c.numerator * (fd // c.denominator) for c in v)
+                for v in self.footprint]
+        den = k * fd
         out = []
-        for chart in self.charts:
-            poly = [chart.apply(v) for v in self.footprint]
-            den = math.lcm(*(c.denominator for v in poly for c in v))
-            pts = [(int(vx * den), int(vy * den)) for vx, vy in poly]
+        for a, b, c, d, e, f in charts:
+            pts = [(a * x + b * y + e * fd, c * x + d * y + f * fd)
+                   for x, y in foot]
             rows = []
             for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
                 rows.append(((y1 - y2) * den, (x2 - x1) * den,
                              (y2 - y1) * x1 - (x2 - x1) * y1))
-            out.append(tuple(rows))
+            xs, ys = [x for x, _ in pts], [y for _, y in pts]
+            out.append((tuple(rows), den, min(xs), max(xs), min(ys),
+                        max(ys)))
         return tuple(out)
 
-    @cached_property
+    @_kept
     def _int_charts(self):
         """(den, rows): chart coefficients (a, b, c, d, e, f) times lcd den."""
         coeffs = [(m.a, m.b, m.c, m.d, m.e, m.f) for m in self.charts]
         den = math.lcm(*(v.denominator for row in coeffs for v in row))
         return den, tuple(tuple(int(v * den) for v in row) for row in coeffs)
 
-    @cached_property
-    def _chart_inverses(self):
-        return tuple(m.inverse() for m in self.charts)
+    @_kept
+    def _int_inverses(self):
+        """(den, rows): inverse chart coefficients over one positive den.
 
-    @cached_property
+        A chart (a, b, c, d, e, f) / k has the inverse (k d, -k b, -k c,
+        k a, b f - d e, c e - a f) / (a d - b c).
+        """
+        k, charts = self._int_charts
+        rows = []
+        for a, b, c, d, e, f in charts:
+            det = a * d - b * c
+            if det == 0:
+                raise OrigamiError("singular affine map")
+            rows.append((det, (k * d, -k * b, -k * c, k * a,
+                               b * f - d * e, c * e - a * f)))
+        den = math.lcm(*(abs(det) for det, _ in rows))
+        return den, tuple(tuple(v * (den // det) for v in row)
+                          for det, row in rows)
+
+    @_kept
     def _probes(self):
         """Folded probe loops, horizontal and vertical at three offsets,
-        built once with no rewrite limit (see _probe_paths)."""
+        built with no rewrite limit (see _probe_paths), again only after
+        the geometry was evicted from _kept_store."""
         probes = []
         for off in (Fraction(1, 7), Fraction(2, 7), Fraction(5, 11)):
             probes.append(fold_base_path(
@@ -352,11 +429,17 @@ class FoldGeometry:
     @_document("geometry")
     def from_json(cls, text: str) -> "FoldGeometry":
         doc = json.loads(text)
-        charts = tuple(AffineMap.make(*[Fraction(v) for v in row])
+        values = {}  # one Fraction per distinct number in the document
+
+        def frac(v):
+            if v not in values:
+                values[v] = Fraction(v)
+            return values[v]
+
+        charts = tuple(AffineMap.make(*map(frac, row))
                        for row in doc["charts"])
-        footprint = tuple((Fraction(x), Fraction(y))
-                          for x, y in doc["footprint"])
-        regions = {name: tuple((Fraction(x), Fraction(y)) for x, y in poly)
+        footprint = tuple((frac(x), frac(y)) for x, y in doc["footprint"])
+        regions = {name: tuple((frac(x), frac(y)) for x, y in poly)
                    for name, poly in doc.get("regions", {}).items()}
         return cls(base=doc["base"], layers=doc["layers"], charts=charts,
                    footprint=footprint, regions=regions,
@@ -366,7 +449,7 @@ class FoldGeometry:
                    metadata=doc.get("metadata", {}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtocolStep:
     """One layer permutation, restricted to a region of the footprint."""
 
@@ -635,29 +718,44 @@ def fold_base_path(g: FoldGeometry, points, subdivisions: int = 60,
     """Clip a base polyline into folded segments with layer labels.
 
     Each chart transition is a partner-layer rewrite and counts against
-    the budget.
+    the budget.  The work is in integers: base points over m, a multiple
+    of 2 * subdivisions and of every point's denominator, and folded
+    points over m times the inverse charts' denominator, reduced at the
+    end to the least one, as LoopPath(segments) would.
     """
-    segments = []
-    for p0, p1 in zip(points, points[1:]):
-        for k in range(subdivisions):
-            t_mid = Fraction(2 * k + 1, 2 * subdivisions)
-            t_s = Fraction(k, subdivisions)
-            t_e = Fraction(k + 1, subdivisions)
-            mid = (p0[0] + (p1[0] - p0[0]) * t_mid,
-                   p0[1] + (p1[1] - p0[1]) * t_mid)
-            wrapped = (mid[0] % 1, mid[1] % 1)
-            hit = g.locate(wrapped)
+    if subdivisions < 1:
+        return LoopPath(())
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    n2 = 2 * subdivisions
+    m = n2 * math.lcm(*(c.denominator for p in pts for c in p))
+    base = [tuple(c.numerator * (m // c.denominator) for c in p)
+            for p in pts]
+    den, inverses = g._int_inverses
+    ends, layers = [], []
+    for (x0, y0), (x1, y1) in zip(base, base[1:]):
+        # Subsegment k of n runs from 2k to 2k + 2 half-steps (dx, dy).
+        dx, dy = (x1 - x0) // n2, (y1 - y0) // n2
+        for k in range(1, n2, 2):
+            mx, my = x0 + k * dx, y0 + k * dy
+            fx, fy = mx // m, my // m
+            hit = g.locate((mx - fx * m, my - fy * m), m)
             if hit is None:
+                mid = (Fraction(mx, m), Fraction(my, m))
                 raise OrigamiError(f"point {mid} not covered by any chart")
             layer, (tx, ty) = hit
-            inv = g._chart_inverses[layer - 1]
-            offset = ((wrapped[0] + tx) - mid[0], (wrapped[1] + ty) - mid[1])
-            start = (p0[0] + (p1[0] - p0[0]) * t_s + offset[0],
-                     p0[1] + (p1[1] - p0[1]) * t_s + offset[1])
-            end = (p0[0] + (p1[0] - p0[0]) * t_e + offset[0],
-                   p0[1] + (p1[1] - p0[1]) * t_e + offset[1])
-            segments.append((inv.apply(start), inv.apply(end), layer))
-    return _check_rewrites(LoopPath(tuple(segments)), budget)
+            # Move the subsegment by the lattice shift that brings its
+            # midpoint into the sheet, then fold it by the inverse chart.
+            sx, sy = mx - dx + (tx - fx) * m, my - dy + (ty - fy) * m
+            ex, ey = sx + 2 * dx, sy + 2 * dy
+            a, b, c, d, e, f = inverses[layer - 1]
+            ends += (a * sx + b * sy + e * m, c * sx + d * sy + f * m,
+                     a * ex + b * ey + e * m, c * ex + d * ey + f * m)
+            layers.append(layer)
+    q = den * m
+    common = math.gcd(q, *ends)
+    path = LoopPath._of(q // common, tuple(v // common for v in ends),
+                        tuple(layers))
+    return _check_rewrites(path, budget)
 
 
 def _check_rewrites(path: LoopPath, budget) -> LoopPath:

@@ -471,8 +471,9 @@ def build_bilayer_genon_code(L: int, cuts=None) -> StabilizerCode:
         raise StabilizerError("genon patch needs L >= 5")
     if cuts is None:
         d = max(1, L // 6)
-        cuts = ((L // 2 - d, L // 2 - d, L // 2 + d),
-                (L // 2 + d, L // 2 - d, L // 2 + d))
+        lo, hi = L // 2 - d, L // 2 + d
+        # Cut columns must lie in [2, L - 2]; only L = 5 needs the clamp.
+        cuts = ((max(2, lo), lo, hi), (hi, lo, hi))
     cut_a, cut_b = _validate_cuts(L, cuts)
     cuts = (cut_a, cut_b)
     edges = _genon_edges(L)

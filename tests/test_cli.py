@@ -387,6 +387,43 @@ def test_malformed_input_document_is_usage_error(argv, doc, message,
     assert message in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv, doc", [
+    pytest.param(["models", "verify", "laughlin", "--k", "1000000"], None,
+                 id="models"),
+    pytest.param(["measure", "extract"],
+                 {"model": "laughlin", "k": 10 ** 6, "records": []},
+                 id="extract"),
+    pytest.param(["models", "verify", "laughlin", "--k", "65"], None,
+                 id="above-default"),
+    pytest.param(["models", "show", "laughlin", "--k", "5", "--max-dim",
+                  "24"], None, id="above-max_dim"),
+    pytest.param(["models", "show", "laughlin", "--k", "2", "--max-dim",
+                  "-100"], None, id="negative-max_dim"),
+])
+def test_laughlin_level_is_capped_before_the_model_is_built(
+        argv, doc, tmp_path, capsys):
+    if doc is not None:
+        path = tmp_path / "extract.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [str(path)]
+    code, out, err = run_json(argv, capsys)
+    assert code == 2 and out is None
+    assert "max_dim" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["models", "verify", "laughlin", "--k", "64"],
+                 id="default"),
+    pytest.param(["models", "show", "laughlin", "--k", "5", "--max-dim",
+                  "25"], id="max_dim"),
+])
+def test_laughlin_level_at_the_cap_is_built(argv, capsys):
+    # 64^4 = 4096^2 and 5^4 = 25^2: the cap admits both.
+    code, report, _ = run_json(argv, capsys)
+    assert code == 0
+    assert report["overall"] == "pass"
+
+
 @pytest.mark.parametrize("text, message", [
     pytest.param('{"N": 1e400}', "finite", id="1e400"),
     pytest.param('{"dt": NaN}', "finite", id="NaN"),

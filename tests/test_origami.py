@@ -5,7 +5,10 @@ from the chart data (exact affine maps over the rationals) and frozen
 here; the tracer must reproduce them by exact integer equality.
 """
 import json
+import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -195,6 +198,78 @@ class TestCatalog:
         assert verify_protocol(clone) == warm
         assert len(calls) == 6
         assert all(args[0] is clone.geometry for args in calls)
+
+    def test_probe_paths_of_the_least_recently_traced_are_evicted(
+            self, monkeypatch):
+        monkeypatch.setattr(origami, "_KEPT_GEOMETRIES", 3)
+        text = builtin_protocol("fig2_fold2_RaS").to_json()
+        first, recent = (Protocol.from_json(text) for _ in range(2))
+        verify_protocol(first)
+        verify_protocol(recent)
+        calls = []
+        build = origami.fold_base_path
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(origami, "fold_base_path", counted)
+        others = [Protocol.from_json(text) for _ in range(3)]
+        for other in others:
+            verify_protocol(recent)
+            verify_protocol(other)
+        assert len(calls) == 18
+        assert len(origami._kept_store) == 3
+        # `first` was used least recently, so it builds its probes again;
+        # `recent` was used every time and still has them.
+        warm = verify_protocol(recent)
+        assert len(calls) == 18
+        assert verify_protocol(first) == warm
+        assert calls[18:] == [first.geometry] * 6
+        assert len(origami._kept_store) == 3
+
+    def test_threads_share_the_store(self, monkeypatch):
+        monkeypatch.setattr(origami, "_KEPT_GEOMETRIES", 2)
+        entry = builtin_protocol("appD_bilayer_C")
+        text, expected = entry.to_json(), verify_protocol(entry)
+        clones = [Protocol.from_json(text) for _ in range(4)]
+        errors = []
+
+        def work():
+            try:
+                for _ in range(3):
+                    for clone in clones:
+                        assert verify_protocol(clone) == expected
+            except Exception as err:  # reported by the assertion below
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(origami._kept_store) <= 2
+
+    def test_tracing_leaves_the_geometry_unchanged(self):
+        clone = Protocol.from_json(builtin_protocol("appD_4layer_C").to_json())
+        fields = dict(vars(clone.geometry))
+        verify_protocol(clone)
+        assert vars(clone.geometry) == fields
+
+    def test_clone_of_every_entry_verifies_as_the_entry(self):
+        for name in catalog_names():
+            entry = builtin_protocol(name)
+            if entry.is_stub:
+                continue
+            clone = Protocol.from_json(entry.to_json())
+            assert verify_protocol(clone) == verify_protocol(entry), name
 
 
 class TestCycleDecomposition:
@@ -444,6 +519,79 @@ def test_open_path_has_no_class():
         half = probe.segments[:len(probe.segments) // 2]
         assert _fraction_glue(g, half) is None
         assert unfold_class(g, LoopPath(half)) is None
+
+
+def _fraction_fold(g, points, subdivisions=60):
+    """The Fraction builder that fold_base_path replaced, as an oracle:
+    each subsegment is moved by the lattice shift that locate gives its
+    midpoint, then folded by the inverse chart in Fractions."""
+    segments = []
+    for p0, p1 in zip(points, points[1:]):
+        for k in range(subdivisions):
+            t_mid = Fraction(2 * k + 1, 2 * subdivisions)
+            mid = (p0[0] + (p1[0] - p0[0]) * t_mid,
+                   p0[1] + (p1[1] - p0[1]) * t_mid)
+            wrapped = (mid[0] % 1, mid[1] % 1)
+            layer, (tx, ty) = g.locate(wrapped)
+            inv = g.chart(layer).inverse()
+            offset = ((wrapped[0] + tx) - mid[0], (wrapped[1] + ty) - mid[1])
+            start, end = (
+                inv.apply((p0[0] + (p1[0] - p0[0]) * t + offset[0],
+                           p0[1] + (p1[1] - p0[1]) * t + offset[1]))
+                for t in (Fraction(k, subdivisions),
+                          Fraction(k + 1, subdivisions)))
+            segments.append((start, end, layer))
+    return LoopPath(tuple(segments))
+
+
+_POLYLINES = {
+    "diagonal": ([(0, 0), (Fraction(1, 3), Fraction(2, 5)), (1, 1)], 60),
+    "outside_unit_square": ([(Fraction(-1, 2), Fraction(1, 3)),
+                             (Fraction(3, 2), Fraction(1, 3))], 60),
+    "coarse": ([(Fraction(1, 9), 0), (Fraction(1, 9), 1), (1, 1)], 7),
+}
+
+
+@pytest.mark.parametrize("name", [
+    "appB_8layer_S", "appC_hexagon_RaS", "appC_hexagon_RbS",
+    "appD_bilayer_C", "appE_12layer_C", "fig2_fold2_RaS",
+    "fig3_genon4_RaS"])
+def test_integer_fold_matches_fraction_oracle(name):
+    g = builtin_protocol(name).geometry
+    for off in (Fraction(1, 7), Fraction(2, 7), Fraction(5, 11)):
+        for points in ([(0, off), (1, off)], [(off, 0), (off, 1)]):
+            path = fold_base_path(g, points, budget=math.inf)
+            assert path == _fraction_fold(g, points)
+    for points, subdivisions in _POLYLINES.values():
+        path = fold_base_path(g, points, subdivisions, budget=math.inf)
+        expected = _fraction_fold(g, points, subdivisions)
+        assert path == expected
+        assert path.segments == expected.segments
+
+
+def test_locate_takes_integers_over_a_denominator():
+    rng = random.Random(19)
+    for name in ("appE_12layer_C", "fig3_genon4_RaS", "appC_hexagon_RaS"):
+        g = builtin_protocol(name).geometry
+        for _ in range(40):
+            q = rng.choice((2, 6, 12, 120, 840))
+            p = (rng.randrange(q), rng.randrange(q))
+            assert g.locate(p, q) == g.locate(
+                (Fraction(p[0], q), Fraction(p[1], q))), (name, p, q)
+
+
+def test_uncovered_point_and_singular_chart_raise():
+    corner = ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)),
+              (Fraction(0), Fraction(1, 2)))
+    g = FoldGeometry(base="square_torus", layers=1,
+                     charts=(AffineMap.make(1, 0, 0, 1),), footprint=corner)
+    with pytest.raises(OrigamiError, match="not covered by any chart"):
+        fold_base_path(g, [(0, Fraction(3, 4)), (1, Fraction(3, 4))])
+    flat = FoldGeometry(base="square_torus", layers=1,
+                        charts=(AffineMap.make(1, 1, 1, 1),),
+                        footprint=square_torus().footprint)
+    with pytest.raises(OrigamiError, match="singular"):
+        fold_base_path(flat, [(0, Fraction(1, 7)), (1, Fraction(1, 7))])
 
 
 # -- serialization --------------------------------------------------------

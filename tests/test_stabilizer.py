@@ -493,6 +493,14 @@ def test_genon_code_matches_pinned_digest(L, cuts, digest):
     assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
+def test_genon_default_cuts_fit_at_L5():
+    default = build_bilayer_genon_code(5)
+    explicit = build_bilayer_genon_code(5, cuts=((2, 1, 3), (3, 1, 3)))
+    assert np.array_equal(default.generator_matrix, explicit.generator_matrix)
+    assert np.array_equal(default._logical_bits, explicit._logical_bits)
+    assert default.k == 2
+
+
 def test_crossing_rule_on_doubled_points():
     cuts = ((3, 2, 5),)  # runs just east of column 3, i.e. x2 = 6
     # A vertex on the cut column lies west of the cut: its east arm

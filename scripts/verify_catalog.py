@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the whole verification portfolio and print a one-line-per-check
-summary: catalog traces, model batteries, stabilizer oracles, and the
-interferometric identity suite."""
+summary: catalog traces, model batteries, stabilizer oracles, the
+interferometric identity suite and S extraction from its preparations."""
 import time
 
 import numpy as np
@@ -26,10 +26,10 @@ def main() -> int:
     print(f"  catalog time {time.monotonic() - start:.1f}s")
 
     print("== modular data ==")
-    models = ["toric_code", "double_semion", "ising", "fibonacci"]
-    for name in models + ["laughlin"]:
-        k = 3 if name == "laughlin" else None
-        model = anyons.builtin_model(name, k=k)
+    models = [anyons.builtin_model(name) for name in
+              ("toric_code", "double_semion", "ising", "fibonacci")]
+    models.append(anyons.builtin_model("laughlin", k=3))
+    for model in models:
         report = anyons.verify_modular_data(model)
         ok = all(report["checks"].values())
         failures += not ok
@@ -71,6 +71,18 @@ def main() -> int:
     exponent = itf.timing_scaling_exponent()
     print(f"  timing residual exponent {exponent:.2f}")
     failures += exponent < 2.7
+
+    print("== S extraction ==")
+    for model in models:
+        try:
+            out = itf.extract_matrix_elements(
+                itf.synthetic_measurements(model), model.conj)
+            defect = np.max(np.abs(out["s_matrix"] - model.s_matrix))
+            ok = defect <= 1e-10
+        except itf.InterferometryError:
+            ok = False
+        failures += not ok
+        print(f"  {model.name:22s} {'ok' if ok else 'FAIL'}")
 
     print("FAILURES:", failures)
     return 1 if failures else 0

@@ -348,14 +348,9 @@ def _extract(path: str, tol: float, max_dim: int) -> list:
         raise CliError("'k' must be an integer")
     model = _load_model(doc["model"], doc.get("k"), max_dim)
     try:
-        measured = interferometry.records_from_json(
-            json.dumps(doc["records"]))
-    except interferometry.InterferometryError as err:
-        raise CliError(str(err)) from err
-    measurements = {r.name: r.value for r in measured}
-    try:
+        measured = interferometry.records_from_docs(doc["records"])
         result = interferometry.extract_matrix_elements(
-            measurements, model.conj, tol=tol)
+            {r.name: r.value for r in measured}, model.conj, tol=tol)
     except interferometry.InterferometryError as err:
         raise CliError(str(err)) from err
     defect = float(np.max(np.abs(result["s_matrix"] - model.s_matrix)))

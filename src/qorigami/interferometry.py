@@ -3,8 +3,8 @@
 Dense verification of the measurement toolbox: tunneling-pulse SWAP,
 beamsplitters, SWAP-as-parity in the antisymmetric mode, twist operators
 via mode Fourier transform, controlled-SWAP, the logical Hadamard test,
-the analytic error estimators, and the linear solver reconstructing a
-modular S matrix from superposition measurements.
+the analytic error estimators, and the closed-form read-out of a
+modular S matrix from its superposition measurements.
 
 All identities are number conserving, so they are exact on the subspace
 with total occupation at most the per-mode cutoff; leakage outside that
@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 from scipy.linalg import expm, logm
@@ -565,7 +566,11 @@ def records_to_json(records) -> str:
 
 def records_from_json(text: str):
     """Parse a JSON list of records; each needs name, re and im."""
-    docs = json.loads(text)
+    return records_from_docs(json.loads(text))
+
+
+def records_from_docs(docs):
+    """Build records from parsed dicts; each needs name, re and im."""
     try:
         return [MeasurementRecord(d["name"], complex(d["re"], d["im"]),
                                   d.get("variance"),
@@ -576,95 +581,61 @@ def records_from_json(text: str):
             f"malformed measurement record: {err!r}") from err
 
 
-def synthetic_measurements(model: anyons.ModularData) -> dict:
-    """Noiseless forward map: every preparation's exact <psi|S|psi>."""
-    s = model.s_matrix
-    n = model.n
-    out: dict[str, complex] = {}
-    for a in range(n):
-        out[f"diag:{a}"] = complex(s[a, a])
-    for a in range(n):
-        for b in range(a + 1, n):
-            plus = (s[a, a] + s[b, b] + s[a, b] + s[b, a]) / 2.0
-            imix = (s[a, a] + s[b, b] + 1j * s[a, b] - 1j * s[b, a]) / 2.0
-            out[f"plus:{a},{b}"] = complex(plus)
-            out[f"imag:{a},{b}"] = complex(imix)
-    if not all(c == i for i, c in enumerate(model.conj)):
-        cs = model.conj_matrix @ s
+def forward_measurements(s: np.ndarray, conj: tuple[int, ...]) -> dict:
+    """Noiseless forward map: every preparation's exact <psi|S|psi>.
+
+    diag:a prepares |a>, plus:a,b (|a> + |b>)/sqrt 2 and imag:a,b
+    (|a> + i|b>)/sqrt 2; unless C = 1, conj_diag:a reads (S + C S)_aa.
+    """
+    n = len(conj)
+    out = {f"diag:{a}": complex(s[a, a]) for a in range(n)}
+    for a, b in combinations(range(n), 2):
+        both = s[a, a] + s[b, b]
+        out[f"plus:{a},{b}"] = complex((both + s[a, b] + s[b, a]) / 2.0)
+        out[f"imag:{a},{b}"] = complex(
+            (both + 1j * s[a, b] - 1j * s[b, a]) / 2.0)
+    if not all(c == i for i, c in enumerate(conj)):
         for a in range(n):
-            out[f"conj_diag:{a}"] = complex(s[a, a] + cs[a, a])
-            for b in range(a + 1, n):
-                plus = (s[a, a] + s[b, b] + s[a, b] + s[b, a]
-                        + cs[a, a] + cs[b, b] + cs[a, b] + cs[b, a]) / 2.0
-                out[f"conj_plus:{a},{b}"] = complex(plus)
+            out[f"conj_diag:{a}"] = complex(s[a, a] + s[conj[a], a])
     return out
+
+
+def synthetic_measurements(model: anyons.ModularData) -> dict:
+    """The forward map of a model's own S matrix."""
+    return forward_measurements(model.s_matrix, model.conj)
 
 
 def extract_matrix_elements(measurements: dict, conj: tuple[int, ...],
                             tol: float = 1e-10) -> dict:
-    """Reconstruct S from superposition measurements by a linear solve.
+    """Read S off its superposition measurements in closed form.
 
-    For self-conjugate models the diagonal, plus and i-superposition rows
-    determine every entry; otherwise the rows built on (I + C) S join an
-    overdetermined least-squares system.  Missing preparations raise with
-    an explicit list.
+    S_aa = diag_a, S_ab + S_ba = 2 plus_ab - S_aa - S_bb and
+    S_ab - S_ba = -i (2 imag_ab - S_aa - S_bb).  The residual compares
+    the measured values with the forward map of that S over these records
+    and, unless C = 1, the conj_diag records present: they are checked,
+    not solved for.  Missing preparations raise with an explicit list.
     """
     n = len(conj)
-    needed = [f"diag:{a}" for a in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            needed.append(f"plus:{a},{b}")
-            needed.append(f"imag:{a},{b}")
+    pairs = list(combinations(range(n), 2))
+    needed = [f"diag:{a}" for a in range(n)] + [
+        f"{kind}:{a},{b}" for a, b in pairs for kind in ("plus", "imag")]
     missing = [k for k in needed if k not in measurements]
     if missing:
         raise InterferometryError(
             "insufficient measurements; missing preparations: "
             + ", ".join(missing))
 
-    def var(a, b):
-        return a * n + b
-
-    rows = []
-    rhs = []
-    for a in range(n):
-        row = np.zeros(n * n, dtype=complex)
-        row[var(a, a)] = 1.0
-        rows.append(row)
-        rhs.append(measurements[f"diag:{a}"])
-    for a in range(n):
-        for b in range(a + 1, n):
-            row = np.zeros(n * n, dtype=complex)
-            row[var(a, a)] = row[var(b, b)] = 0.5
-            row[var(a, b)] = row[var(b, a)] = 0.5
-            rows.append(row)
-            rhs.append(measurements[f"plus:{a},{b}"])
-            row = np.zeros(n * n, dtype=complex)
-            row[var(a, a)] = row[var(b, b)] = 0.5
-            row[var(a, b)] = 0.5j
-            row[var(b, a)] = -0.5j
-            rows.append(row)
-            rhs.append(measurements[f"imag:{a},{b}"])
-    nontrivial_conj = not all(c == i for i, c in enumerate(conj))
-    if nontrivial_conj:
-        for a in range(n):
-            key = f"conj_diag:{a}"
-            if key in measurements:
-                row = np.zeros(n * n, dtype=complex)
-                row[var(a, a)] += 1.0
-                row[var(conj[a], a)] += 1.0
-                rows.append(row)
-                rhs.append(measurements[key])
-    mat = np.array(rows)
-    vec = np.array(rhs)
-    # One SVD: the rank is the count of lstsq's singular values above
-    # 1e-8, as matrix_rank(mat, tol=1e-8) would count them.
-    sol, _, _, singular = np.linalg.lstsq(mat, vec, rcond=None)
-    if np.count_nonzero(singular > 1e-8) < n * n:
-        raise InterferometryError(
-            "insufficient measurements: linear system is singular")
-    s = sol.reshape(n, n)
-    residual = float(np.linalg.norm(mat @ sol - vec))
-    if residual > tol:
+    s = np.diag([complex(measurements[f"diag:{a}"]) for a in range(n)])
+    for a, b in pairs:
+        both = s[a, a] + s[b, b]
+        total = 2 * measurements[f"plus:{a},{b}"] - both
+        diff = -1j * (2 * measurements[f"imag:{a},{b}"] - both)
+        s[a, b], s[b, a] = (total + diff) / 2, (total - diff) / 2
+    predicted = forward_measurements(s, conj)
+    residual = float(np.linalg.norm(
+        [predicted[k] - measurements[k] for k in predicted
+         if k in measurements]))
+    if not residual <= tol:  # a NaN record fails too
         raise InterferometryError(
             f"extraction residual {residual:.2e} exceeds {tol:.1e}")
     return {"s_matrix": s, "residual": residual}

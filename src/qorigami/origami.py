@@ -428,7 +428,11 @@ class FoldGeometry:
     @classmethod
     @_document("geometry")
     def from_json(cls, text: str) -> "FoldGeometry":
-        doc = json.loads(text)
+        return cls._from_doc(json.loads(text))
+
+    @classmethod
+    @_document("geometry")
+    def _from_doc(cls, doc: dict) -> "FoldGeometry":
         values = {}  # one Fraction per distinct number in the document
 
         def frac(v):
@@ -917,7 +921,7 @@ class Protocol:
     @_document("protocol")
     def from_json(cls, text: str) -> "Protocol":
         doc = json.loads(text)
-        geometry = FoldGeometry.from_json(json.dumps(doc["geometry"]))
+        geometry = FoldGeometry._from_doc(doc["geometry"])
         steps = tuple(
             ProtocolStep(perm=parse_cycles(s["perm"], geometry.layers),
                          region=s["region"], kind=s.get("kind", "layer_perm"))

@@ -10,6 +10,9 @@ from scipy.linalg import expm as scipy_expm
 from qorigami import anyons, cli, interferometry as itf
 
 
+FIXED_MODELS = ("toric_code", "double_semion", "ising", "fibonacci")
+
+
 def small_pair_system():
     return itf.FockSystem(sites=2, modes_per_site=2, cutoff=2, total_cap=2)
 
@@ -370,11 +373,12 @@ class TestExtraction:
         assert out["residual"] < 1e-10
         assert np.max(np.abs(out["s_matrix"] - model.s_matrix)) < 1e-10
 
-    def test_one_decomposition_per_extraction(self, monkeypatch):
-        def no_rank(*args, **kwargs):
-            raise AssertionError("matrix_rank called")
+    def test_extraction_runs_no_solver(self, monkeypatch):
+        def no_solver(*args, **kwargs):
+            raise AssertionError("linear solver called")
 
-        monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
+        for name in ("lstsq", "solve", "pinv", "svd", "matrix_rank"):
+            monkeypatch.setattr(np.linalg, name, no_solver)
         for k in range(2, 17):
             model = anyons.builtin_model("laughlin", k=k)
             meas = itf.synthetic_measurements(model)
@@ -382,25 +386,45 @@ class TestExtraction:
             assert out["residual"] < 1e-10
             assert np.max(np.abs(out["s_matrix"] - model.s_matrix)) < 1e-10
 
-    def test_singular_system_raises(self, monkeypatch):
-        # Every complete set of preparations determines S, so the system
-        # is made singular by dropping its last unknown from whichever
-        # decomposition the extraction reads.
-        def drop_last_unknown(solver):
-            def patched(a, *args, **kwargs):
-                a = a.copy()
-                a[:, -1] = 0
-                return solver(a, *args, **kwargs)
-            return patched
+    @pytest.mark.parametrize("name,k", [
+        (name, None) for name in FIXED_MODELS] + [
+        ("laughlin", k) for k in range(2, 17)])
+    def test_recovers_s_to_rounding(self, name, k):
+        model = anyons.builtin_model(name, k=k)
+        meas = itf.synthetic_measurements(model)
+        out = itf.extract_matrix_elements(meas, model.conj)
+        assert np.max(np.abs(out["s_matrix"] - model.s_matrix)) <= 1e-15
 
-        for name in ("lstsq", "matrix_rank"):
-            monkeypatch.setattr(np.linalg, name,
-                                drop_last_unknown(getattr(np.linalg, name)))
+    def test_conj_diag_records_are_checked(self):
         model = anyons.builtin_model("laughlin", k=3)
         meas = itf.synthetic_measurements(model)
+        meas["conj_diag:1"] += 1e-6
         with pytest.raises(itf.InterferometryError,
-                           match="linear system is singular"):
+                           match="extraction residual"):
             itf.extract_matrix_elements(meas, model.conj)
+
+    @pytest.mark.parametrize("key", ["diag:0", "plus:0,1", "imag:1,2"])
+    def test_nan_record_fails_the_residual(self, key):
+        model = anyons.builtin_model("toric_code")
+        meas = itf.synthetic_measurements(model)
+        meas[key] = complex(float("nan"), 0.0)
+        with pytest.raises(itf.InterferometryError,
+                           match="extraction residual nan"):
+            itf.extract_matrix_elements(meas, model.conj)
+
+    def test_self_conjugate_model_ignores_conj_diag(self):
+        model = anyons.builtin_model("toric_code")
+        meas = itf.synthetic_measurements(model)
+        assert not any(k.startswith("conj") for k in meas)
+        meas["conj_diag:0"] = 5.0
+        out = itf.extract_matrix_elements(meas, model.conj)
+        assert out["residual"] < 1e-12
+
+    def test_no_conj_plus_records(self):
+        model = anyons.builtin_model("laughlin", k=4)
+        names = set(itf.synthetic_measurements(model))
+        assert {f"conj_diag:{a}" for a in range(4)} <= names
+        assert not any(k.startswith("conj_plus") for k in names)
 
     def test_missing_preparation_listed(self):
         model = anyons.builtin_model("toric_code")
@@ -435,3 +459,20 @@ def test_twist_identity_property(seed):
     state = sys.random_state(rng)
     out = itf.twist_expectation(sys, state)
     assert out["difference"] < 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_extraction_inverts_forward_map(n, seed):
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    conj = list(range(n))
+    order = rng.permutation(n)
+    for i in range(rng.integers(0, n // 2 + 1)):
+        a, b = order[2 * i], order[2 * i + 1]
+        conj[a], conj[b] = b, a
+    conj = tuple(int(c) for c in conj)
+    out = itf.extract_matrix_elements(itf.forward_measurements(s, conj), conj)
+    assert out["residual"] <= 1e-12
+    assert np.max(np.abs(out["s_matrix"] - s)) <= 1e-12

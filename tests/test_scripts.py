@@ -20,7 +20,12 @@ def _run(script: str) -> subprocess.CompletedProcess:
 def test_verify_catalog_reports_no_failures():
     proc = _run("verify_catalog.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "FAILURES: 0" in proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    assert "FAILURES: 0" in lines
+    section = lines[lines.index("== S extraction =="):]
+    for name in ("toric_code", "double_semion", "ising", "fibonacci",
+                 "laughlin_3"):
+        assert f"  {name:22s} ok" in section
 
 
 def test_derive_fold_charts_tiles_every_geometry():

@@ -282,6 +282,7 @@ def _identity_suite(seed: int, tol: float, max_dim: int) -> list:
         twist_systems = {layers: interferometry.FockSystem(
             sites=1, modes_per_site=layers, cutoff=2, total_cap=2,
             max_dim=max_dim) for layers in (2, 3)}
+        beamsplitter_system = interferometry.four_beamsplitter_system(max_dim)
     except interferometry.InterferometryError as err:
         raise CliError(str(err)) from err
     # Each check runs with an infinite tolerance so that a violated
@@ -304,7 +305,8 @@ def _identity_suite(seed: int, tol: float, max_dim: int) -> list:
         records.append(record("cswap_blocks", "fail", actual=str(err),
                               tolerance=1e-10))
 
-    worst = interferometry.four_beamsplitter_check(seed=seed, tol=math.inf)
+    worst = interferometry.four_beamsplitter_check(
+        seed=seed, tol=math.inf, system=beamsplitter_system)
     records.append(_defect_record("four_beamsplitter", worst, tol))
     return records
 
@@ -325,6 +327,9 @@ def _estimate(path: str) -> list:
     except (TypeError, OverflowError,
             interferometry.InterferometryError) as err:
         raise CliError(f"invalid budget: {err}") from err
+    for key in ("N", "distance"):
+        if doc.get(key) is not None and type(doc[key]) is not int:
+            raise CliError(f"budget field {key!r} must be an integer")
     records = [
         record("readout_fidelity", "pass",
                actual=interferometry.readout_fidelity(budget)),
@@ -452,6 +457,8 @@ def main(argv=None) -> int:
         if args.command == "measure" and args.action != "identity-suite" \
                 and not args.path:
             raise CliError(f"measure {args.action} needs an input file")
+        if not 0 <= args.tolerance < math.inf:
+            raise CliError(f"tolerance {args.tolerance} is not finite >= 0")
         caps = load_caps()
         if args.max_dim is None:
             args.max_dim = caps["max_dim"]

@@ -19,13 +19,9 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from . import anyons
-
-
-class InterferometryError(ValueError):
-    """Raised for identity violations, bad systems, or missing data."""
+from ._unitary import InterferometryError, expm, logm
 
 
 # -- truncated Fock systems ----------------------------------------------
@@ -513,12 +509,16 @@ def timing_scaling_exponent(j_dts=(0.02, 0.01, 0.005), sites: int = 2) -> float:
 # -- four-beamsplitter composition ----------------------------------------
 
 
+def four_beamsplitter_system(max_dim: int = 4096) -> FockSystem:
+    return FockSystem(sites=2, modes_per_site=4, cutoff=2, total_cap=2,
+                      max_dim=max_dim)
+
+
 def four_beamsplitter_check(seed: int = 0, samples: int = 20,
-                            tol: float = 1e-9) -> float:
+                            tol: float = 1e-9, system=None) -> float:
     """Product-parity observable after four beamsplitters versus the
-    double-SWAP expectation, on a two-site four-layer toy system."""
-    sys = FockSystem(sites=2, modes_per_site=4, cutoff=2, total_cap=2,
-                     max_dim=4096)
+    double-SWAP expectation, on `system` or `four_beamsplitter_system()`."""
+    sys = system or four_beamsplitter_system()
     pairs = {0: [(0, 3), (2, 1)], 1: [(2, 3), (0, 1)]}
     bm = np.eye(sys.dim, dtype=complex)
     parity = np.eye(sys.dim, dtype=complex)

@@ -453,14 +453,118 @@ def test_parser_is_built_once_and_reused(argv, capsys):
     assert run_cli(argv, capsys) == first
 
 
-def test_module_entry_point_runs_main():
+def _source_env():
+    """The environment with this checkout's package first on the path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qorigami.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_module_entry_point_runs_main():
     proc = subprocess.run(
         [sys.executable, "-m", "qorigami.cli", "list", "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_source_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert json.loads(proc.stdout)["overall"] == "pass"
+
+
+def _extract_input(tmp_path, model="toric_code"):
+    meas = interferometry.synthetic_measurements(anyons.builtin_model(model))
+    path = tmp_path / "extract.json"
+    path.write_text(json.dumps({"model": model, "records": [
+        interferometry.MeasurementRecord(k, v).to_dict()
+        for k, v in meas.items()]}))
+    return str(path)
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+import qorigami
+from qorigami.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv + ["--format", "json"])
+             for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    name for name in sys.modules if name.split(".")[0] == "scipy")}))
+"""
+
+
+def test_no_command_loads_scipy(tmp_path):
+    budget = tmp_path / "budget.json"
+    budget.write_text(json.dumps({"N": 2, "dt": 0.01}))
+    jobs = [["verify", "all"], ["models", "verify", "ising"],
+            ["mcg", "eval", "Rb S"],
+            ["stabilizer", "verify", "--lattice", "3"],
+            ["stabilizer", "genon", "--L", "6"],
+            ["measure", "identity-suite"],
+            ["measure", "extract", _extract_input(tmp_path)],
+            ["measure", "estimate", str(budget)]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(jobs)],
+        capture_output=True, text=True, env=_source_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * len(jobs),
+                                       "scipy": []}
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1",
+                                       "-1e-300"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["models", "verify", "ising"], id="models-verify"),
+    pytest.param(["measure", "identity-suite"], id="identity-suite"),
+    pytest.param(["measure", "extract"], id="extract"),
+])
+def test_bad_tolerance_is_usage_error(argv, tolerance, tmp_path, capsys):
+    if argv[-1] == "extract":
+        argv = argv + [_extract_input(tmp_path)]
+    code, out, err = run_json(argv + [f"--tolerance={tolerance}"], capsys)
+    assert code == 2 and out is None
+    assert "tolerance" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("cap", [15, 30, 44])
+def test_identity_suite_caps_every_system_before_any_check(
+        cap, monkeypatch, capsys):
+    def check_ran(*args, **kwargs):
+        raise AssertionError("a check ran before every cap was checked")
+
+    monkeypatch.setattr(interferometry, "swap_expectation_via_parity",
+                        check_ran)
+    code, out, err = run_json(
+        ["measure", "identity-suite", "--max-dim", str(cap)], capsys)
+    assert code == 2 and out is None
+    assert f"dimension 45 exceeds the cap {cap}" in json.loads(err)["error"]
+
+
+def test_identity_suite_at_the_largest_dimension_passes(capsys):
+    code, report, _ = run_json(
+        ["measure", "identity-suite", "--max-dim", "45"], capsys)
+    assert code == 0 and report["overall"] == "pass"
+
+
+@pytest.mark.parametrize("doc, key", [
+    pytest.param({"N": 2.5}, "'N'", id="N-float"),
+    pytest.param({"N": 2.0}, "'N'", id="N-integral-float"),
+    pytest.param({"N": True}, "'N'", id="N-true"),
+    pytest.param({"N": 2, "distance": 3.5}, "'distance'", id="distance-float"),
+    pytest.param({"distance": False}, "'distance'", id="distance-false"),
+])
+def test_estimate_non_integer_count_is_usage_error(doc, key, tmp_path,
+                                                   capsys):
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_json(["measure", "estimate", str(path)], capsys)
+    assert code == 2 and out is None
+    assert key in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("doc", [{"N": 3, "distance": 5},
+                                 {"N": 3, "distance": None}])
+def test_estimate_integer_counts_are_accepted(doc, tmp_path, capsys):
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run_json(["measure", "estimate", str(path)], capsys)
+    assert code == 0 and report["overall"] == "pass"

@@ -92,14 +92,16 @@ class TestFockSystem:
 
 
 def random_number_conserving_generator(sys, rng):
-    """Random sum_kl h_kl a_k^dag a_l plus a random function of the
-    occupations: it commutes with the total number."""
+    """-i sum_kl h_kl a_k^dag a_l for a random Hermitian h, plus i times a
+    random real function of the occupations: an anti-Hermitian generator
+    that commutes with the total number."""
     ops = [sys.annihilation(m) for m in range(sys.n_modes)]
     h = rng.normal(size=(sys.n_modes,) * 2) \
         + 1j * rng.normal(size=(sys.n_modes,) * 2)
+    h = (h + h.conj().T) / 2
     gen = sum(h[k, l] * ops[k].conj().T @ ops[l]
               for k in range(sys.n_modes) for l in range(sys.n_modes))
-    gen = gen + np.diag(rng.normal(size=sys.dim))
+    gen = -1j * gen + 1j * np.diag(rng.normal(size=sys.dim))
     return 0.3 * gen
 
 
@@ -138,6 +140,50 @@ class TestSectorExpm:
         tiny[0, 1] = 1e-300
         with pytest.raises(itf.InterferometryError, match="couples"):
             itf.sector_expm(tiny, sys._sectors)
+
+
+def unitary_dft(n):
+    return np.array([[np.exp(2j * np.pi * k * l / n) for l in range(n)]
+                     for k in range(n)]) / math.sqrt(n)
+
+
+class TestUnitaryKernels:
+    """`expm` and `logm` against scipy.linalg, which shares no code with
+    them."""
+
+    @pytest.mark.parametrize("gen", [
+        pytest.param(np.array([[0, 1], [1, 0]], dtype=complex),
+                     id="hermitian"),
+        pytest.param(np.array([[1j, 1], [0, -1j]]), id="non-normal"),
+        pytest.param(np.array([[1e-6]], dtype=complex), id="real-1x1"),
+    ])
+    def test_non_anti_hermitian_generator_raises(self, gen):
+        with pytest.raises(itf.InterferometryError,
+                           match="not anti-Hermitian"):
+            itf.expm(gen)
+
+    def test_sector_expm_rejects_a_hermitian_block(self):
+        sys = itf.FockSystem(sites=1, modes_per_site=2, cutoff=2)
+        h = itf._tunneling_generator(sys, 0, 1)
+        with pytest.raises(itf.InterferometryError,
+                           match="not anti-Hermitian"):
+            itf.sector_expm(h, sys._sectors)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_logm_of_dft_exponentiates_back(self, n):
+        # n = 10, 14 and 15 have a degenerate eigenvalue -1 whose computed
+        # copies straddle the branch cut.
+        dft = unitary_dft(n)
+        h = itf.logm(dft)
+        assert np.max(np.abs(scipy_expm(h) - dft)) < 1e-13
+        assert np.max(np.abs(h + h.conj().T)) < 1e-13
+
+    def test_logm_is_principal(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        h = (a + a.conj().T) / 2
+        h *= 3.0 / np.max(np.abs(np.linalg.eigvalsh(h)))
+        assert np.max(np.abs(itf.logm(scipy_expm(-1j * h)) + 1j * h)) < 1e-12
 
 
 def count_sector_expm(monkeypatch):
@@ -476,3 +522,15 @@ def test_extraction_inverts_forward_map(n, seed):
     out = itf.extract_matrix_elements(itf.forward_measurements(s, conj), conj)
     assert out["residual"] <= 1e-12
     assert np.max(np.abs(out["s_matrix"] - s)) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_expm_of_hermitian_matches_scipy(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = (a + a.conj().T) / 2
+    u = itf.expm(-1j * h)
+    assert np.max(np.abs(u - scipy_expm(-1j * h))) < 1e-12
+    assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12

@@ -1,4 +1,4 @@
-"""Modular data for the anyon models used by the logical-gate dictionary.
+"""Modular data of anyon models and their torus representations.
 
 Each model stores its label set, quantum dimensions, modular S matrix,
 topological spins (the diagonal of T), and the charge-conjugation
@@ -17,6 +17,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -82,6 +83,20 @@ class ModularData:
     def gauss_sum(self) -> complex:
         total = sum(d * d * t for d, t in zip(self.dims, self.theta))
         return total / self.total_dim
+
+    @cached_property
+    def _verlinde_rounding(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nearest, distance), indexed [a, b, c]: each Verlinde sum
+        sum_x S_ax S_bx S*_cx / S_0x rounded to the nearest nonnegative
+        integer, and its distance from it; fusion_tensor and
+        verify_modular_data share it."""
+        s = self.s_matrix
+        d_row = s[0]
+        if np.any(np.abs(d_row) < 1e-12):
+            raise AnyonError("vanishing S_{0x}; Verlinde formula undefined")
+        vals = np.einsum("ax,bx,cx->abc", s / d_row, s, s.conj())
+        nearest = np.maximum(np.round(vals.real), 0)
+        return nearest, np.abs(vals - nearest)
 
     # -- serialization ----------------------------------------------------
 
@@ -268,19 +283,19 @@ def builtin_model(name: str, k: int | None = None) -> ModularData:
 
 
 def fusion_tensor(model: ModularData, tol: float = 1e-9) -> np.ndarray:
-    """Verlinde fusion coefficients N_{ab}^c, rounded to exact integers."""
-    s = model.s_matrix
-    d_row = s[0]
-    if np.any(np.abs(d_row) < 1e-12):
-        raise AnyonError("vanishing S_{0x}; Verlinde formula undefined")
-    vals = np.einsum("ax,bx,cx->abc", s / d_row, s, s.conj())
-    nearest = np.round(vals.real)
-    bad = (np.abs(vals - nearest) > tol) | (nearest < 0)
+    """Verlinde fusion coefficients N_{ab}^c, rounded to exact integers.
+
+    Raises AnyonError at the first (a, b, c) whose Verlinde sum is farther
+    than tol from a nonnegative integer, or is NaN.
+    """
+    nearest, distance = model._verlinde_rounding
+    bad = ~(distance <= tol)
     if bad.any():
         a, b, c = np.argwhere(bad)[0]
         # Report the value summed term by term, so that the message does
         # not depend on the einsum's summation order.
-        val = np.sum(s[a] * s[b] * s[c].conj() / d_row)
+        s = model.s_matrix
+        val = np.sum(s[a] * s[b] * s[c].conj() / s[0])
         raise AnyonError(
             f"fusion N_{{{model.labels[a]},{model.labels[b]}}}^"
             f"{model.labels[c]} = {val} is not a nonnegative integer")
@@ -288,52 +303,48 @@ def fusion_tensor(model: ModularData, tol: float = 1e-9) -> np.ndarray:
 
 
 def verify_modular_data(model: ModularData, tol: float = 1e-10) -> dict:
-    """Run the full battery of consistency checks; returns a report dict."""
+    """Run the full battery of consistency checks; returns a report dict.
+
+    Each check compares one defect with tol.  "checks" maps each check to
+    whether it passed and "defects" to its defect: a finite float, or a
+    string saying why there is none, which fails the check.
+    """
     s = model.s_matrix
-    n = model.n
-    eye = np.eye(n)
-    checks: dict[str, bool] = {}
-    details: dict[str, float | complex] = {}
-
-    unitarity = np.max(np.abs(s @ s.conj().T - eye))
-    checks["s_unitary"] = bool(unitarity <= tol)
-    details["s_unitarity_defect"] = float(unitarity)
-
-    symmetry = np.max(np.abs(s - s.T))
-    checks["s_symmetric"] = bool(symmetry <= tol)
-    details["s_symmetry_defect"] = float(symmetry)
-
-    conj_defect = np.max(np.abs(s @ s - model.conj_matrix))
-    checks["s_squared_is_conj"] = bool(conj_defect <= tol)
-    details["s_squared_defect"] = float(conj_defect)
-
-    dim_defect = max(
-        abs(s[a, 0].real * model.total_dim - model.dims[a]) for a in range(n)
-    )
-    checks["first_column_dims"] = bool(dim_defect <= 1e-9)
-    details["dim_defect"] = float(dim_defect)
-
-    try:
-        fusion_tensor(model)
-        checks["fusion_integral"] = True
-    except AnyonError:
-        checks["fusion_integral"] = False
-
     gauss = model.gauss_sum()
-    checks["gauss_unit_modulus"] = bool(abs(abs(gauss) - 1.0) <= tol)
-    details["gauss_sum"] = gauss
-
     # (S T)^3 = Theta * S^2 * C with Theta the Gauss sum.  With the
     # positive-exponent Fourier convention for the abelian S matrices the
     # charge-conjugation factor cancels S^2 and the right side is Theta * 1;
     # for self-conjugate models the relation reduces to the familiar
     # (S T)^3 = Theta * S^2.
     st3 = np.linalg.matrix_power(s @ model.t_matrix, 3)
-    rel_defect = np.max(np.abs(st3 - gauss * (s @ s @ model.conj_matrix)))
-    checks["st_cubed_relation"] = bool(rel_defect <= 1e-9)
-    details["st_cubed_defect"] = float(rel_defect)
-
-    return {"model": model.name, "checks": checks, "details": details}
+    defects: dict[str, float | str] = {
+        "s_unitary": np.max(np.abs(s @ s.conj().T - np.eye(model.n))),
+        "s_symmetric": np.max(np.abs(s - s.T)),
+        "s_squared_is_conj": np.max(np.abs(s @ s - model.conj_matrix)),
+        "first_column_dims": np.max(np.abs(
+            s[:, 0].real * model.total_dim - np.asarray(model.dims))),
+        "gauss_unit_modulus": abs(abs(gauss) - 1.0),
+        "st_cubed_relation": np.max(np.abs(
+            st3 - gauss * (s @ s @ model.conj_matrix))),
+    }
+    try:
+        fusion_tensor(model, tol=tol)
+        fusion_ok = True
+    except AnyonError:
+        fusion_ok = False
+    try:  # the sums fusion_tensor read, kept on the model: no second einsum
+        defects["fusion_integral"] = np.max(model._verlinde_rounding[1])
+    except AnyonError as err:       # a vanishing S_0x
+        defects["fusion_integral"] = str(err)
+    for name, defect in defects.items():
+        if not isinstance(defect, str):
+            defect = float(defect)
+            defects[name] = (defect if math.isfinite(defect)
+                             else f"non-finite defect {defect}")
+    checks = {name: not isinstance(defect, str) and defect <= tol
+              for name, defect in defects.items()}
+    checks["fusion_integral"] = fusion_ok
+    return {"model": model.name, "checks": checks, "defects": defects}
 
 
 # -- representations ------------------------------------------------------
@@ -388,59 +399,3 @@ def rep_on_torus(model: ModularData, word: str | Iterable[str]) -> np.ndarray:
             mat = mat.conj().T
         out = out @ mat
     return out
-
-
-def sector_element(model: ModularData, word: str | Iterable[str],
-                   bra: str, ket: str) -> complex:
-    mat = rep_on_torus(model, word)
-    return complex(mat[model.index(bra), model.index(ket)])
-
-
-def mixed_state_expectation(model: ModularData, word: str | Iterable[str]) -> complex:
-    """Expectation of the word's representation in the maximally mixed state."""
-    mat = rep_on_torus(model, word)
-    return complex(np.trace(mat) / model.n)
-
-
-# -- logical gate dictionary ----------------------------------------------
-
-
-def gate_dictionary(model: ModularData) -> dict[str, dict]:
-    """Named logical gates realizing the S and T matrices of a model."""
-    name = model.name
-    entries: dict[str, dict] = {}
-    if name == "toric_code":
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-        swap = np.zeros((4, 4), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                swap[2 * a + b, 2 * b + a] = 1.0
-        entries["S"] = {"gate": "(H x H) SWAP", "matrix": np.kron(h, h) @ swap}
-        entries["T"] = {"gate": "CZ", "matrix": np.diag([1, 1, 1, -1]).astype(complex)}
-    elif name.startswith("laughlin"):
-        entries["S"] = {"gate": f"fourier_{model.n}", "matrix": model.s_matrix}
-        entries["T"] = {"gate": f"phase_{model.n}", "matrix": model.t_matrix}
-    elif name == "double_semion":
-        entries["S"] = {"gate": "H", "matrix": model.s_matrix}
-        entries["T"] = {"gate": "P = diag(1, i)", "matrix": model.t_matrix}
-    else:
-        entries["S"] = {"gate": f"{name}_s", "matrix": model.s_matrix}
-        entries["T"] = {"gate": f"{name}_t", "matrix": model.t_matrix}
-    return entries
-
-
-def verify_gate_dictionary(model: ModularData, tol: float = 1e-10) -> bool:
-    """Each dictionary gate must equal the representation up to global phase."""
-    for token, entry in gate_dictionary(model).items():
-        rep = rep_on_torus(model, [token])
-        gate = entry["matrix"]
-        # Align global phase on the largest entry.
-        idx = np.unravel_index(np.argmax(np.abs(rep)), rep.shape)
-        if abs(gate[idx]) < 1e-12:
-            return False
-        phase = rep[idx] / gate[idx]
-        if abs(abs(phase) - 1.0) > tol:
-            return False
-        if np.max(np.abs(rep - phase * gate)) > tol:
-            return False
-    return True

@@ -120,10 +120,10 @@ def cmd_models(args, caps) -> list:
         return records
     report = anyons.verify_modular_data(model, tol=args.tolerance)
     for check, ok in sorted(report["checks"].items()):
-        detail = report["details"].get(check.replace("_is_", "_") + "_defect")
         records.append(record(f"{model.name}:{check}",
                               "pass" if ok else "fail",
-                              actual=detail, tolerance=args.tolerance))
+                              actual=report["defects"][check],
+                              tolerance=args.tolerance))
     return records
 
 
@@ -132,22 +132,30 @@ def _load_model(target: str, k: int | None,
     if target.endswith(".json") or os.path.sep in target:
         try:
             with open(target, encoding="utf-8") as fh:
-                return anyons.ModularData.from_json(fh.read())
+                model = anyons.ModularData.from_json(fh.read())
         except OSError as err:
             raise CliError(f"cannot read model file {target}: {err}") from err
         except (json.JSONDecodeError, anyons.AnyonError) as err:
             raise CliError(f"malformed model file {target}: {err}") from err
-    # The Verlinde sum of level k has k^4 terms.  It may do as much work
-    # as one pass over the largest dense matrix the caps allow, max_dim^2
-    # entries (none for a max_dim below 1).
-    cap = max(max_dim, 0) ** 2
-    if target == "laughlin" and k is not None and k ** 4 > cap:
-        raise CliError(f"laughlin level k = {k} exceeds the max_dim cap: "
-                       f"k^4 must be at most max_dim^2 = {cap}")
+        _check_verlinde_cap(f"model file {target} anyon count n", "n",
+                            model.n, max_dim)
+        return model
+    if target == "laughlin" and k is not None:
+        _check_verlinde_cap("laughlin level k", "k", k, max_dim)
     try:
         return anyons.builtin_model(target, k=k)
     except anyons.AnyonError as err:
         raise CliError(str(err)) from err
+
+
+def _check_verlinde_cap(what: str, symbol: str, n: int, max_dim: int) -> None:
+    """The Verlinde sum of an n-anyon model has n^4 terms.  It may do as
+    much work as one pass over the largest dense matrix the caps allow,
+    max_dim^2 entries (none for a max_dim below 1)."""
+    cap = max(max_dim, 0) ** 2
+    if n ** 4 > cap:
+        raise CliError(f"{what} = {n} exceeds the max_dim cap: "
+                       f"{symbol}^4 must be at most max_dim^2 = {cap}")
 
 
 def cmd_mcg(args, caps) -> list:

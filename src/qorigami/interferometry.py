@@ -2,17 +2,15 @@
 
 Dense verification of the measurement toolbox: tunneling-pulse SWAP,
 beamsplitters, SWAP-as-parity in the antisymmetric mode, twist operators
-via mode Fourier transform, controlled-SWAP, the logical Hadamard test,
-the analytic error estimators, and the closed-form read-out of a
-modular S matrix from its superposition measurements.
+via mode Fourier transform, controlled-SWAP, the analytic error
+estimators, and the closed-form read-out of a modular S matrix from its
+superposition measurements.
 
 All identities are number conserving, so they are exact on the subspace
-with total occupation at most the per-mode cutoff; leakage outside that
-subspace is measured, never silently ignored.
+with total occupation at most the per-mode cutoff.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -207,13 +205,6 @@ def swap_unitary(sys: FockSystem, m1: int, m2: int) -> np.ndarray:
     return permutation_unitary(sys, {m1: m2, m2: m1})
 
 
-def leakage(sys: FockSystem, u: np.ndarray) -> float:
-    """Unitarity defect of u on the total-occupation <= cutoff subspace."""
-    p = sys.occupation_projector(sys.cutoff)
-    probe = p @ u.conj().T @ u @ p
-    return float(np.max(np.abs(probe - p)))
-
-
 # -- tunneling pulses -----------------------------------------------------
 
 
@@ -380,37 +371,6 @@ def cswap(sys: FockSystem, ancilla_dim: int = 2,
     return u
 
 
-# -- logical Hadamard test ------------------------------------------------
-
-
-def hadamard_test(model: anyons.ModularData, word,
-                  state_spec) -> tuple[float, float]:
-    """Ramsey-circuit estimate of Re and Im of <psi|U(word)|psi>.
-
-    state_spec is a label, or a mapping label -> amplitude.
-    """
-    u = anyons.rep_on_torus(model, word)
-    psi = np.zeros(model.n, dtype=complex)
-    if isinstance(state_spec, str):
-        psi[model.index(state_spec)] = 1.0
-    else:
-        for label, amp in state_spec.items():
-            psi[model.index(label)] = amp
-    norm = np.linalg.norm(psi)
-    if norm < 1e-12:
-        raise InterferometryError("state_spec is the zero vector")
-    psi = psi / norm
-    # Ancilla in (|0> + |1>)/sqrt(2), controlled-U, then X / Y readout.
-    joint = np.concatenate([psi, u @ psi]) / math.sqrt(2.0)
-    d = model.n
-    x_val = 2.0 * np.real(np.vdot(joint[:d], joint[d:]))
-    y_val = 2.0 * np.imag(np.vdot(joint[:d], joint[d:]))
-    direct = complex(np.vdot(psi, u @ psi))
-    if abs(complex(x_val, y_val) - direct) > 1e-10:
-        raise InterferometryError("Ramsey readout disagrees with <U>")
-    return (x_val, y_val)
-
-
 # -- error estimators -----------------------------------------------------
 
 
@@ -558,15 +518,6 @@ class MeasurementRecord:
         return {"name": self.name, "re": self.value.real,
                 "im": self.value.imag, "variance": self.variance,
                 "provenance": self.provenance}
-
-
-def records_to_json(records) -> str:
-    return json.dumps([r.to_dict() for r in records], sort_keys=True)
-
-
-def records_from_json(text: str):
-    """Parse a JSON list of records; each needs name, re and im."""
-    return records_from_docs(json.loads(text))
 
 
 def records_from_docs(docs):

@@ -36,9 +36,6 @@ class MCGMatrix:
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
-    def is_orientation_preserving(self) -> bool:
-        return self.det() == 1
-
     @staticmethod
     def identity() -> "MCGMatrix":
         return MCGMatrix(1, 0, 0, 1)

@@ -10,9 +10,9 @@ exact integer matrix.
 
 Partner-layer rewrites are the only rewrite rule: a segment is rewritten
 into the partner layer across a crease whenever the folded path crosses
-one (chart transitions), against a configurable budget.  Gluing sums the
-segments' image displacements in exact integers, so a zero-winding detour
-(the double loop around a single genon) adds nothing to the class.
+one (chart transitions).  Gluing sums the segments' image displacements
+in exact integers, so a zero-winding detour (the double loop around a
+single genon) adds nothing to the class.
 """
 from __future__ import annotations
 
@@ -31,10 +31,6 @@ from . import mcg
 
 class OrigamiError(ValueError):
     """Raised for invalid geometries, protocols, or stuck rewrites."""
-
-
-class RewriteBudgetError(OrigamiError):
-    """Raised when a folded path needs more rewrites than the budget."""
 
 
 # Geometries whose derived tracing data (see _kept) one process keeps:
@@ -394,17 +390,16 @@ class FoldGeometry:
 
     @_kept
     def _probes(self):
-        """Folded probe loops, horizontal and vertical at three offsets,
-        built with no rewrite limit (see _probe_paths), again only after
-        the geometry was evicted from _kept_store."""
+        """Folded probe loops, horizontal and vertical at three offsets;
+        the first two are the homology basis loops alpha and beta.  They
+        are built again only after the geometry was evicted from
+        _kept_store."""
         probes = []
         for off in (Fraction(1, 7), Fraction(2, 7), Fraction(5, 11)):
             probes.append(fold_base_path(
-                self, [(Fraction(0), off), (Fraction(1), off)],
-                budget=math.inf))
+                self, [(Fraction(0), off), (Fraction(1), off)]))
             probes.append(fold_base_path(
-                self, [(off, Fraction(0)), (off, Fraction(1))],
-                budget=math.inf))
+                self, [(off, Fraction(0)), (off, Fraction(1))]))
         return tuple(probes)
 
     def to_json(self) -> str:
@@ -496,10 +491,6 @@ class LoopPath:
                       (Fraction(ex, q), Fraction(ey, q)), layer)
                      for layer, sx, sy, ex, ey in zip(self.layers,
                                                       it, it, it, it))
-
-    def reversed_path(self) -> "LoopPath":
-        return LoopPath(tuple((e, s, l)
-                              for (s, e, l) in reversed(self.segments)))
 
 
 # -- geometry builders ----------------------------------------------------
@@ -717,15 +708,16 @@ def left_multiplication_perm(g: FoldGeometry, w: AffineMap) -> dict:
 # -- loop tracing ---------------------------------------------------------
 
 
-def fold_base_path(g: FoldGeometry, points, subdivisions: int = 60,
-                   budget: int = 64) -> LoopPath:
+def fold_base_path(g: FoldGeometry, points,
+                   subdivisions: int = 60) -> LoopPath:
     """Clip a base polyline into folded segments with layer labels.
 
-    Each chart transition is a partner-layer rewrite and counts against
-    the budget.  The work is in integers: base points over m, a multiple
-    of 2 * subdivisions and of every point's denominator, and folded
-    points over m times the inverse charts' denominator, reduced at the
-    end to the least one, as LoopPath(segments) would.
+    Each subsegment takes the layer and lattice shift that cover its
+    midpoint, so a chart transition between subsegments is a
+    partner-layer rewrite.  The work is in integers: base points over m,
+    a multiple of 2 * subdivisions and of every point's denominator, and
+    folded points over m times the inverse charts' denominator, reduced
+    at the end to the least one, as LoopPath(segments) would.
     """
     if subdivisions < 1:
         return LoopPath(())
@@ -757,22 +749,13 @@ def fold_base_path(g: FoldGeometry, points, subdivisions: int = 60,
             layers.append(layer)
     q = den * m
     common = math.gcd(q, *ends)
-    path = LoopPath._of(q // common, tuple(v // common for v in ends),
+    return LoopPath._of(q // common, tuple(v // common for v in ends),
                         tuple(layers))
-    return _check_rewrites(path, budget)
 
 
-def _check_rewrites(path: LoopPath, budget) -> LoopPath:
-    """Raise if the path changes layer between segments over budget times."""
-    if sum(a != b for a, b in zip(path.layers, path.layers[1:])) > budget:
-        raise RewriteBudgetError(
-            f"folding used more than {budget} partner-layer rewrites")
-    return path
-
-
-def reference_loops(g: FoldGeometry, budget: int = 64):
+def reference_loops(g: FoldGeometry):
     """Folded images of the homology basis loops alpha and beta."""
-    return _probe_paths(g, budget)[:2]
+    return g._probes[:2]
 
 
 def apply_protocol(g: FoldGeometry, steps, path: LoopPath) -> LoopPath:
@@ -834,58 +817,27 @@ def check_transversal(steps, g: FoldGeometry) -> bool:
     return True
 
 
-def _probe_paths(g: FoldGeometry, budget: int):
-    """The geometry's probe loops, each checked against the budget."""
-    for probe in g._probes:
-        _check_rewrites(probe, budget)
-    return g._probes
-
-
-def check_closure(steps, g: FoldGeometry, budget: int = 64) -> bool:
+def check_closure(steps, g: FoldGeometry) -> bool:
     """True iff the protocol maps the glued configuration to itself."""
     if not steps:
         return True
     if any(step.kind != "layer_perm" for step in steps):
         return False
-    for probe in _probe_paths(g, budget):
+    for probe in g._probes:
         image = apply_protocol(g, steps, probe)
         if unfold_class(g, image) is None:
             return False
     return True
 
 
-def trace_loops(steps, g: FoldGeometry, budget: int = 64):
+def trace_loops(steps, g: FoldGeometry):
     """Induced 2x2 integer homology action of a closed protocol."""
-    if not check_closure(steps, g, budget=budget):
+    if not check_closure(steps, g):
         raise OrigamiError("protocol is not closed; cannot trace loops")
-    alpha, beta = reference_loops(g, budget=budget)
+    alpha, beta = reference_loops(g)
     cls_a = unfold_class(g, apply_protocol(g, steps, alpha))
     cls_b = unfold_class(g, apply_protocol(g, steps, beta))
     return mcg.MCGMatrix(cls_a[0], cls_b[0], cls_a[1], cls_b[1])
-
-
-def cycle_decomposition(steps) -> list:
-    """Disjoint cycles of the net layer permutation of a global protocol.
-
-    Earlier steps act as the outer factor: steps [s1, s2] compose to
-    s1 after s2.
-    """
-    perms = []
-    for step in steps:
-        if step.kind != "layer_perm" or step.region != "ALL":
-            raise OrigamiError(
-                "cycle decomposition needs global layer permutations")
-        perms.append(step.perm)
-    if not perms:
-        return []
-    layers = sorted(perms[0])
-    net = {}
-    for l in layers:
-        cur = l
-        for perm in reversed(perms):
-            cur = perm[cur]
-        net[l] = cur
-    return cycles_of(net)
 
 
 # -- protocols and the catalog --------------------------------------------
@@ -1041,18 +993,20 @@ def builtin_protocol(name: str) -> Protocol:
     return entries[name]
 
 
-def verify_protocol(entry: Protocol, budget: int = 64, rng=None) -> dict:
+def verify_protocol(entry: Protocol, rng=None) -> dict:
     """Transversality, closure, and exact trace check for one entry.
 
-    trace_loops checks closure and raises on an open protocol, so a
-    returned report always has "closed" True.  Tracing is deterministic:
-    `rng` is accepted for callers that still pass one and is ignored.
+    check_transversal raises on a step that does not permute the layers,
+    and trace_loops raises on an open protocol or a step that is not a
+    layer permutation, so a returned report always has "transversal" and
+    "closed" True.  Tracing is deterministic: `rng` is accepted for
+    callers that still pass one and is ignored.
     """
     if entry.is_stub:
         return {"name": entry.name, "skipped": True,
                 "reason": entry.metadata.get("reason", "stub")}
     transversal = check_transversal(entry.steps, entry.geometry)
-    traced = trace_loops(entry.steps, entry.geometry, budget=budget)
+    traced = trace_loops(entry.steps, entry.geometry)
     expected = entry.expected_matrix()
     return {
         "name": entry.name,

@@ -16,7 +16,6 @@ dual loop just inside each layer's boundary to a stabilizer.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -302,11 +301,6 @@ class StabilizerCode:
     def contains(self, op: PauliOp) -> bool:
         """Membership in the stabilizer group, ignoring phases."""
         return not any(self._residues(op.symplectic_bits()[None, :]))
-
-    def export_text(self) -> str:
-        gens, n = self.generator_matrix, self.n
-        letters = np.array(list("IXZY"))[gens[:, :n] + 2 * gens[:, n:]]
-        return "\n".join("".join(row) for row in letters) + "\n"
 
 
 def _pauli_rows(n: int, supports) -> np.ndarray:
@@ -852,66 +846,3 @@ def symplectic_from_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
                 bits[2 * qi + 1] = 1
         out[:, col] = bits
     return out
-
-
-# -- distance utilities ---------------------------------------------------
-
-
-def exact_z_distance(code: StabilizerCode, limit_dim: int = 22) -> int:
-    """Exact minimum weight of a Z-type logical, by kernel enumeration.
-
-    Only feasible when the Z-kernel dimension is at most limit_dim.
-    """
-    basis = _gf2_nullspace(code.generator_matrix[:, :code.n])
-    if len(basis) > limit_dim:
-        raise StabilizerError(
-            f"kernel dimension {len(basis)} exceeds limit {limit_dim}")
-    xlog_words = _pack_rows(code._logical_bits[:, :code.n])
-    # Every kernel word, beside the bitset of X logicals it anticommutes
-    # with; a word pairing with none lies in the stabilizer group.
-    words, pairings = [0], [0]
-    for w in basis:
-        pbits = sum(1 << j for j, xb in enumerate(xlog_words)
-                    if (w & xb).bit_count() % 2)
-        words += [v ^ w for v in words]
-        pairings += [p ^ pbits for p in pairings]
-    weights = [w.bit_count() for w, p in zip(words, pairings) if p]
-    if not weights:
-        raise StabilizerError("no Z-type logical found in the kernel")
-    return min(weights)
-
-
-def _gf2_nullspace(mat: np.ndarray) -> list[int]:
-    """Kernel basis as bitsets: for each free column f of the reduced
-    echelon form, bit f and every pivot bit whose row has bit f set."""
-    echelon = gf2_row_reduce(mat)
-    pivot_mask = sum(echelon)
-    free = [1 << f for f in range(mat.shape[1]) if not (1 << f) & pivot_mask]
-    return [f | sum(p for p, row in echelon.items() if row & f) for f in free]
-
-
-def min_logical_weight_upper_bound(code: StabilizerCode, seed: int = 0,
-                                   sweeps: int = 200) -> int:
-    """Best found weight of a logical operator, by randomized coset descent."""
-    rng = np.random.default_rng(seed)
-    gen_bits = code.generator_matrix
-    n = code.n
-
-    def weight(bits):
-        return int(np.sum(bits[:n] | bits[n:]))
-
-    best = min(weight(bits) for bits in code._logical_bits)
-    for current in code._logical_bits:
-        for _ in range(sweeps):
-            trial = current ^ gen_bits[rng.integers(gen_bits.shape[0])]
-            if weight(trial) <= weight(current):
-                current = trial
-        best = min(best, weight(current))
-    return best
-
-
-def export_symplectic_json(result: dict) -> str:
-    return json.dumps(
-        {"k": result["k"], "move": result["move"],
-         "symplectic": result["symplectic"].tolist()},
-        sort_keys=True)

@@ -97,13 +97,6 @@ def test_origami_catalog_exact_and_fast():
     assert elapsed < 10.0
 
 
-# 5. Pinned permutation product.
-def test_cycle_decomposition_product():
-    entry = origami.builtin_protocol("appB_8layer_S")
-    assert origami.cycle_decomposition(entry.steps) == [
-        (1, 7, 3, 5), (2, 6, 4, 8)]
-
-
 # 6. Stabilizer oracle agrees with anyon-level matrices.
 def _symplectic_of_word(word: str) -> np.ndarray:
     model = anyons.builtin_model("toric_code")

@@ -13,11 +13,7 @@ from qorigami.anyons import (
     UnsupportedReflectionError,
     builtin_model,
     fusion_tensor,
-    gate_dictionary,
-    mixed_state_expectation,
     rep_on_torus,
-    sector_element,
-    verify_gate_dictionary,
     verify_modular_data,
 )
 
@@ -37,6 +33,24 @@ ALL_MODELS = [
 def test_consistency_battery(model):
     report = verify_modular_data(model)
     assert all(report["checks"].values()), report
+
+
+@pytest.mark.parametrize("entry, value, reason", [
+    pytest.param((0, 1), 0.0, "vanishing S_{0x}", id="vanishing-S0x"),
+    pytest.param((1, 1), np.nan, "non-finite", id="nan"),
+])
+def test_battery_defects_are_numbers_or_reasons(entry, value, reason):
+    model = builtin_model("ising")
+    s = model.s_matrix.copy()
+    s[entry] = value
+    report = verify_modular_data(dataclasses.replace(model, s_matrix=s))
+    assert report["checks"].keys() == report["defects"].keys()
+    # Valid JSON: each defect is a finite float or a string reason.
+    assert all(isinstance(d, str) or (isinstance(d, float)
+                                      and math.isfinite(d))
+               for d in report["defects"].values())
+    assert reason in report["defects"]["fusion_integral"]
+    assert not report["checks"]["fusion_integral"]
 
 
 def test_toric_code_anchors():
@@ -225,25 +239,6 @@ def test_reflections_rejected_for_chiral_models():
               builtin_model("laughlin", 3)):
         with pytest.raises(UnsupportedReflectionError):
             rep_on_torus(m, "Ra")
-
-
-def test_sector_element_and_mixed_state():
-    m = builtin_model("toric_code")
-    assert abs(sector_element(m, "S", "1", "1") - 0.5) < 1e-12
-    assert abs(mixed_state_expectation(m, "S") - 0.5) < 1e-12
-    assert abs(mixed_state_expectation(m, "T") - 0.5) < 1e-12
-
-
-@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
-def test_gate_dictionary_matches_rep(model):
-    assert verify_gate_dictionary(model)
-
-
-def test_gate_dictionary_names():
-    d = gate_dictionary(builtin_model("toric_code"))
-    assert d["T"]["gate"] == "CZ"
-    d = gate_dictionary(builtin_model("laughlin", 4))
-    assert d["S"]["gate"] == "fourier_4"
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)

@@ -53,6 +53,21 @@ class TestModels:
         code, _, err = run_json(["models", "verify", str(path)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("shift", [0.0, 1e-6])
+    def test_verify_reports_each_defect(self, shift, tmp_path, capsys):
+        doc = json.loads(anyons.builtin_model("ising").to_json())
+        doc["s_real"][1][2] += shift
+        path = tmp_path / "ising.json"
+        path.write_text(json.dumps(doc))
+        code, report, _ = run_json(["models", "verify", str(path)], capsys)
+        assert code == (1 if shift else 0)
+        statuses = {r["status"] for r in report["records"]}
+        assert statuses == ({"pass", "fail"} if shift else {"pass"})
+        for rec in report["records"]:
+            assert isinstance(rec["actual"], float), rec
+            assert rec["tolerance"] == 1e-9
+            assert (rec["actual"] > 1e-9) == (rec["status"] == "fail"), rec
+
     def test_verify_non_unitary_s_fails(self, tmp_path, capsys):
         model = anyons.builtin_model("toric_code")
         doc = json.loads(model.to_json())
@@ -409,6 +424,36 @@ def test_laughlin_level_is_capped_before_the_model_is_built(
     code, out, err = run_json(argv, capsys)
     assert code == 2 and out is None
     assert "max_dim" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["models", "verify"], id="models-verify"),
+    pytest.param(["models", "show"], id="models-show"),
+    pytest.param(["measure", "extract"], id="measure-extract")])
+@pytest.mark.parametrize("k, max_dim", [(65, None), (65, 8), (3, 8)])
+def test_model_file_anyon_count_is_capped_before_any_check(
+        argv, k, max_dim, tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(anyons, "verify_modular_data", unreachable)
+    monkeypatch.setattr(interferometry, "extract_matrix_elements",
+                        unreachable)
+    path = tmp_path / "model.json"
+    path.write_text(anyons.builtin_model("laughlin", k).to_json())
+    target = str(path)
+    if argv[0] == "measure":
+        target = tmp_path / "extract.json"
+        target.write_text(json.dumps({"model": str(path), "records": []}))
+    argv = argv + [str(target)]
+    if max_dim is not None:
+        argv += ["--max-dim", str(max_dim)]
+    code, out, err = run_json(argv, capsys)
+    assert code == 2 and out is None
+    cap = (4096 if max_dim is None else max_dim) ** 2
+    assert json.loads(err)["error"] == (
+        f"model file {path} anyon count n = {k} exceeds the max_dim cap: "
+        f"n^4 must be at most max_dim^2 = {cap}")
 
 
 @pytest.mark.parametrize("argv", [

@@ -242,10 +242,6 @@ class TestTunnelingPulses:
         diff = p @ (u - itf.swap_unitary(sys, 0, 1)) @ p
         assert np.max(np.abs(diff)) < 1e-9
 
-    def test_leakage_tiny_at_matched_cap(self):
-        sys = itf.FockSystem(sites=1, modes_per_site=2, cutoff=2)
-        assert itf.leakage(sys, itf.tunneling_swap(sys, 0)) < 1e-12
-
     def test_beamsplitter_mode_mixing(self):
         sys = itf.FockSystem(sites=1, modes_per_site=2, cutoff=3)
         bs = itf.beamsplitter(sys, 0)
@@ -330,28 +326,6 @@ class TestCswap:
     def test_ancilla_validation(self):
         with pytest.raises(itf.InterferometryError):
             itf.cswap(small_pair_system(), ancilla_dim=1)
-
-
-class TestHadamardTest:
-    def test_toric_em_twist(self):
-        model = anyons.builtin_model("toric_code")
-        x, y = itf.hadamard_test(model, ["T"], "em")
-        assert abs(x - (-1.0)) < 1e-10 and abs(y) < 1e-10
-
-    def test_toric_s_vacuum(self):
-        model = anyons.builtin_model("toric_code")
-        x, y = itf.hadamard_test(model, ["S"], "1")
-        assert abs(x - 0.5) < 1e-10 and abs(y) < 1e-10
-
-    def test_superposition_state(self):
-        model = anyons.builtin_model("ising")
-        x, y = itf.hadamard_test(model, ["T"], {"1": 1.0, "psi": 1.0})
-        assert abs(complex(x, y)) <= 1.0 + 1e-12
-
-    def test_zero_state_rejected(self):
-        model = anyons.builtin_model("toric_code")
-        with pytest.raises(itf.InterferometryError):
-            itf.hadamard_test(model, ["S"], {"1": 0.0})
 
 
 class TestEstimators:
@@ -478,13 +452,6 @@ class TestExtraction:
         del meas["imag:1,2"]
         with pytest.raises(itf.InterferometryError, match="imag:1,2"):
             itf.extract_matrix_elements(meas, model.conj)
-
-    def test_records_json_round_trip(self):
-        records = [itf.MeasurementRecord("diag:0", 0.5 + 0.25j, 1e-4)]
-        text = itf.records_to_json(records)
-        back = itf.records_from_json(text)
-        assert back[0].name == "diag:0"
-        assert abs(back[0].value - (0.5 + 0.25j)) < 1e-15
 
 
 @settings(max_examples=25, deadline=None)

@@ -21,8 +21,6 @@ def test_group_relations_all_hold():
 def test_determinant_split():
     assert S.det() == T.det() == C.det() == 1
     assert RA.det() == RB.det() == -1
-    assert S.is_orientation_preserving()
-    assert not RA.is_orientation_preserving()
 
 
 def test_act_on_loops():

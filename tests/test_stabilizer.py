@@ -13,13 +13,11 @@ from qorigami.stabilizer import (
     build_bilayer_genon_code,
     build_toric_torus,
     diagonal_fold_map,
-    exact_z_distance,
     folded_view,
     genon_double_loop,
     geometric_permutation,
     gf2_rank,
     logical_action,
-    min_logical_weight_upper_bound,
     protocol_action,
     symplectic_from_unitary,
 )
@@ -94,12 +92,6 @@ def test_gf2_paths_agree_with_rank_comparison(data):
     # Each residue differs from its vector by an element of the span.
     for v, r in zip(vecs, _unpack(resid, cols)):
         assert _reference_rank(list(mat) + [v ^ r]) == base
-    # The kernel: cols - rank independent words, each orthogonal to
-    # every row.
-    kernel = _unpack(stab._gf2_nullspace(mat), cols)
-    assert kernel.shape[0] == cols - base
-    assert _reference_rank(kernel) == cols - base
-    assert not ((mat.astype(np.int64) % 2) @ kernel.T % 2).any()
 
 
 def _masked_xor_row_reduce(mat):
@@ -625,58 +617,6 @@ def test_identity_is_transversal():
     ident = QubitPermutation(np.arange(code.n), name="identity")
     cert = folded_view(code, fmap, ident)
     assert cert["transversal"]
-
-
-# -- distances ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("L", [2, 3, 4])
-def test_torus_distance_is_L(L):
-    assert exact_z_distance(build_toric_torus(L)) == L
-
-
-def test_distance_limit_is_checked_before_enumeration(monkeypatch):
-    code = build_toric_torus(4)         # Z-kernel dimension 32 - 15 = 17
-    packed = []
-    pack = stab._pack_rows
-    monkeypatch.setattr(stab, "_pack_rows",
-                        lambda mat: packed.append(mat.shape) or pack(mat))
-    with pytest.raises(StabilizerError,
-                       match="^kernel dimension 17 exceeds limit 16$"):
-        exact_z_distance(code, limit_dim=16)
-    # Only the X checks were packed, to find the kernel; enumeration
-    # starts by packing the logicals, which never happened.
-    assert packed == [(code.generator_matrix.shape[0], code.n)]
-    assert exact_z_distance(code, limit_dim=17) == 4
-
-
-def test_distance_bound_grows_with_cut_separation():
-    near = build_bilayer_genon_code(10, cuts=((4, 2, 8), (5, 2, 8)))
-    far = build_bilayer_genon_code(10, cuts=((3, 2, 8), (6, 2, 8)))
-    ub_near = min_logical_weight_upper_bound(near, seed=3, sweeps=400)
-    ub_far = min_logical_weight_upper_bound(far, seed=3, sweeps=400)
-    assert ub_near < ub_far
-
-
-# -- exports --------------------------------------------------------------
-
-
-def test_text_export_shape():
-    code = build_toric_torus(2)
-    lines = code.export_text().strip().split("\n")
-    assert len(lines) == len(code.generator_matrix)
-    assert all(len(line) == code.n for line in lines)
-    assert set("".join(lines)) <= set("IXYZ")
-
-
-def test_symplectic_json_export():
-    import json
-
-    code = build_toric_torus(2)
-    act = logical_action(code, geometric_permutation(code, "reflect_diagonal"))
-    doc = json.loads(stab.export_symplectic_json(act))
-    assert doc["k"] == 2
-    assert np.array_equal(np.array(doc["symplectic"]), act["symplectic"])
 
 
 def test_symplectic_from_unitary_rejects_non_clifford():

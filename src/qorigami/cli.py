@@ -451,10 +451,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The optional positional operand of each command that has one.  argparse
+# fills it, with nothing, as soon as it reads the action, so an operand
+# given after an option (`models verify --k 5 laughlin`) is left over.
+_OPERANDS = {"models": "target", "mcg": "word", "measure": "path"}
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv):
+    """parser.parse_args, except that a command's operand may follow its
+    options: a single left-over argument fills an empty operand."""
+    args, extra = parser.parse_known_args(argv)
+    operand = _OPERANDS.get(args.command)
+    if (operand and not getattr(args, operand) and len(extra) == 1
+            and not extra[0].startswith("-")):
+        setattr(args, operand, extra.pop())
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     start = time.monotonic()

@@ -10,15 +10,19 @@ exact integer matrix.
 
 Partner-layer rewrites are the only rewrite rule: a segment is rewritten
 into the partner layer across a crease whenever the folded path crosses
-one (chart transitions).  Gluing sums the segments' image displacements
-in exact integers, so a zero-winding detour (the double loop around a
-single genon) adds nothing to the class.
+one (chart transitions).  A probe path is stored as maximal runs, one
+segment per stretch of one layer, lattice shift and region membership, so
+a warm trace costs O(crease crossings) rather than O(subdivisions).
+Gluing sums the segments' image displacements in exact integers, so a
+zero-winding detour (the double loop around a single genon) adds nothing
+to the class.
 """
 from __future__ import annotations
 
 import json
 import math
 import re
+import sys
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -81,6 +85,25 @@ def _document(kind: str):
     except (AttributeError, KeyError, TypeError, ValueError,
             ZeroDivisionError) as err:
         raise OrigamiError(f"malformed {kind} document: {err!r}") from err
+
+
+def _interned(value):
+    """A parsed JSON value with every string interned, so that the names,
+    regions, kinds, pairings and metadata parsed objects keep are shared
+    across documents instead of held once per document."""
+    if isinstance(value, str):
+        return sys.intern(value)
+    if isinstance(value, list):
+        return [_interned(v) for v in value]
+    if isinstance(value, dict):
+        return {sys.intern(k): _interned(v) for k, v in value.items()}
+    return value
+
+
+def _load(text: str, kind: str) -> dict:
+    """The loader of geometry and protocol documents (see _interned)."""
+    with _document(kind):
+        return _interned(json.loads(text))
 
 
 # -- exact affine maps ----------------------------------------------------
@@ -221,6 +244,43 @@ def _point_in_convex(p, poly) -> bool:
     return True
 
 
+def _edge_rows(pts, den) -> tuple:
+    """Integer rows (A, B, C), one per edge of a polygon whose vertices pts
+    are integers over den: A X + B Y + C q is den^2 q times the cross
+    product that _point_in_convex takes of the edge and the point
+    (X/q, Y/q)."""
+    return tuple(((y1 - y2) * den, (x2 - x1) * den,
+                  (y2 - y1) * x1 - (x2 - x1) * y1)
+                 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
+
+
+def _region_rows(name: str, poly) -> tuple:
+    """Edge rows of a convex region (see _edge_rows), negated for a
+    clockwise region, so that a point lies in it, boundary included, iff
+    A X + B Y + C q >= 0 on every row.
+
+    The rows' cross products at any point sum to twice the signed area,
+    so for a polygon of nonzero area this is _point_in_convex's test.
+    Raises OrigamiError for fewer than 3 vertices, zero area, or a vertex
+    on the outer side of an edge (a reflex vertex, or a polygon that
+    winds more than once).
+    """
+    if len(poly) < 3:
+        raise OrigamiError(f"region {name!r} has fewer than 3 vertices")
+    den = math.lcm(*(c.denominator for v in poly for c in v))
+    pts = [tuple(c.numerator * (den // c.denominator) for c in v)
+           for v in poly]
+    rows = _edge_rows(pts, den)
+    area = sum(c for _, _, c in rows)
+    if area == 0:
+        raise OrigamiError(f"region {name!r} has zero area")
+    if area < 0:
+        rows = tuple((-a, -b, -c) for a, b, c in rows)
+    if any(a * x + b * y + c * den < 0 for a, b, c in rows for x, y in pts):
+        raise OrigamiError(f"region {name!r} is not convex")
+    return rows
+
+
 def _rows_agree(rows, x, y, q) -> bool:
     """Sign test of _point_in_convex on integer edge rows (see locate)."""
     sign = 0
@@ -275,6 +335,8 @@ class FoldGeometry:
     def __post_init__(self) -> None:
         if self.layers != len(self.charts):
             raise OrigamiError("one chart per layer required")
+        for name, poly in self.regions.items():
+            _region_rows(name, poly)
         for _, pairing in tuple(self.boundary_pairings) + tuple(
                 self.branch_cuts):
             perm = parse_cycles(pairing, self.layers)
@@ -353,14 +415,16 @@ class FoldGeometry:
         for a, b, c, d, e, f in charts:
             pts = [(a * x + b * y + e * fd, c * x + d * y + f * fd)
                    for x, y in foot]
-            rows = []
-            for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-                rows.append(((y1 - y2) * den, (x2 - x1) * den,
-                             (y2 - y1) * x1 - (x2 - x1) * y1))
             xs, ys = [x for x, _ in pts], [y for _, y in pts]
-            out.append((tuple(rows), den, min(xs), max(xs), min(ys),
-                        max(ys)))
+            out.append((_edge_rows(pts, den), den, min(xs), max(xs),
+                        min(ys), max(ys)))
         return tuple(out)
+
+    @_kept
+    def _regions(self):
+        """Per region name, its oriented integer rows (see _region_rows)."""
+        return {name: _region_rows(name, poly)
+                for name, poly in self.regions.items()}
 
     @_kept
     def _int_charts(self):
@@ -390,10 +454,10 @@ class FoldGeometry:
 
     @_kept
     def _probes(self):
-        """Folded probe loops, horizontal and vertical at three offsets;
-        the first two are the homology basis loops alpha and beta.  They
-        are built again only after the geometry was evicted from
-        _kept_store."""
+        """Folded probe loops, horizontal and vertical at three offsets,
+        each as maximal runs (see fold_base_path); the first two are the
+        homology basis loops alpha and beta.  They are built again only
+        after the geometry was evicted from _kept_store."""
         probes = []
         for off in (Fraction(1, 7), Fraction(2, 7), Fraction(5, 11)):
             probes.append(fold_base_path(
@@ -421,9 +485,8 @@ class FoldGeometry:
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
-    @_document("geometry")
     def from_json(cls, text: str) -> "FoldGeometry":
-        return cls._from_doc(json.loads(text))
+        return cls._from_doc(_load(text, "geometry"))
 
     @classmethod
     @_document("geometry")
@@ -465,7 +528,8 @@ class LoopPath:
     """Directed folded path: per segment, sx, sy, ex, ey in `ends` as
     integers over one denominator q, and its layer in `layers`.  Built
     from, and `segments` returns, ((start, end, layer), ...) tuples of
-    exact rationals."""
+    exact rationals.  A segment may be one subsegment or a maximal run of
+    them (see fold_base_path); tracing treats both alike."""
 
     q: int
     ends: tuple
@@ -710,14 +774,19 @@ def left_multiplication_perm(g: FoldGeometry, w: AffineMap) -> dict:
 
 def fold_base_path(g: FoldGeometry, points,
                    subdivisions: int = 60) -> LoopPath:
-    """Clip a base polyline into folded segments with layer labels.
+    """Clip a base polyline into maximal folded runs with layer labels.
 
-    Each subsegment takes the layer and lattice shift that cover its
-    midpoint, so a chart transition between subsegments is a
-    partner-layer rewrite.  The work is in integers: base points over m,
-    a multiple of 2 * subdivisions and of every point's denominator, and
-    folded points over m times the inverse charts' denominator, reduced
-    at the end to the least one, as LoopPath(segments) would.
+    Each edge of the polyline is cut into `subdivisions` subsegments, and
+    each subsegment takes the layer and lattice shift that cover its
+    midpoint (locate), so a chart transition between subsegments is a
+    partner-layer rewrite.  Consecutive subsegments of one edge form one
+    segment, a run, while they share the layer and the shift (so they
+    meet end to start in folded coordinates) and every region of the
+    geometry gives their midpoints the same membership (_split_runs).
+    The work is in integers: base points over m, a multiple of
+    2 * subdivisions and of every point's denominator, and folded points
+    over q, m times the inverse charts' denominator, reduced at the end
+    to the least one, as LoopPath(segments) would.
     """
     if subdivisions < 1:
         return LoopPath(())
@@ -727,35 +796,85 @@ def fold_base_path(g: FoldGeometry, points,
     base = [tuple(c.numerator * (m // c.denominator) for c in p)
             for p in pts]
     den, inverses = g._int_inverses
+    regions = tuple(g._regions.values())
+    q = den * m
     ends, layers = [], []
     for (x0, y0), (x1, y1) in zip(base, base[1:]):
-        # Subsegment k of n runs from 2k to 2k + 2 half-steps (dx, dy).
+        # Subsegment k of n runs from half-step 2k to 2k + 2 of (dx, dy),
+        # so its midpoint is at the odd half-step s = 2k + 1.
         dx, dy = (x1 - x0) // n2, (y1 - y0) // n2
-        for k in range(1, n2, 2):
-            mx, my = x0 + k * dx, y0 + k * dy
+        chunks = []  # [first s, last s, (layer, shift x, shift y)]
+        for s in range(1, n2, 2):
+            mx, my = x0 + s * dx, y0 + s * dy
             fx, fy = mx // m, my // m
             hit = g.locate((mx - fx * m, my - fy * m), m)
             if hit is None:
                 mid = (Fraction(mx, m), Fraction(my, m))
                 raise OrigamiError(f"point {mid} not covered by any chart")
             layer, (tx, ty) = hit
-            # Move the subsegment by the lattice shift that brings its
-            # midpoint into the sheet, then fold it by the inverse chart.
-            sx, sy = mx - dx + (tx - fx) * m, my - dy + (ty - fy) * m
-            ex, ey = sx + 2 * dx, sy + 2 * dy
+            key = (layer, tx - fx, ty - fy)
+            if chunks and chunks[-1][2] == key:
+                chunks[-1][1] = s
+            else:
+                chunks.append([s, s, key])
+        for first, last, (layer, ox, oy) in chunks:
+            # The lattice shift brings the chunk's midpoints into the
+            # sheet, and the inverse chart folds it: half-step s lands on
+            # (px + s vx, py + s vy) over q.
             a, b, c, d, e, f = inverses[layer - 1]
-            ends += (a * sx + b * sy + e * m, c * sx + d * sy + f * m,
-                     a * ex + b * ey + e * m, c * ex + d * ey + f * m)
-            layers.append(layer)
-    q = den * m
+            bx, by = x0 + ox * m, y0 + oy * m
+            px, py = a * bx + b * by + e * m, c * bx + d * by + f * m
+            vx, vy = a * dx + b * dy, c * dx + d * dy
+            for s0, s1 in _split_runs(first, last, px, py, vx, vy, q,
+                                      regions):
+                ends += (px + (s0 - 1) * vx, py + (s0 - 1) * vy,
+                         px + (s1 + 1) * vx, py + (s1 + 1) * vy)
+                layers.append(layer)
     common = math.gcd(q, *ends)
     return LoopPath._of(q // common, tuple(v // common for v in ends),
                         tuple(layers))
 
 
-def reference_loops(g: FoldGeometry):
-    """Folded images of the homology basis loops alpha and beta."""
-    return g._probes[:2]
+def _split_runs(first, last, px, py, vx, vy, q, regions):
+    """Split a chunk, the subsegments with odd midpoint half-steps first
+    to last on one straight folded line (see fold_base_path), into runs
+    (s0, s1) on which every region's membership is constant.
+
+    A convex region holds the integer half-steps s of one interval: on
+    each of its rows, A X + B Y + C q = u + s w >= 0 bounds s on one
+    side.  Runs are cut where that interval starts and ends among the
+    midpoints.  A run's own midpoint then has the membership of its
+    subsegments' midpoints (apply_protocol tests it), except when the run
+    has an even count and a region holds its middle half-step but none of
+    its midpoints; such a run loses its first subsegment to a run of its
+    own, which leaves an odd count whose midpoint is a subsegment's.
+    """
+    if not regions:
+        return ((first, last),)
+    spans, cuts = [], {first}
+    for rows in regions:
+        lo, hi = first, last
+        for a, b, c in rows:
+            u, w = a * px + b * py + c * q, a * vx + b * vy
+            if w > 0:
+                lo = max(lo, -(u // w))
+            elif w < 0:
+                hi = min(hi, u // -w)
+            elif u < 0:
+                lo, hi = last + 1, first - 1
+        spans.append((lo, hi))
+        odd_lo, odd_hi = lo | 1, (hi - 1) | 1
+        if odd_lo <= odd_hi:
+            cuts.update((odd_lo, odd_hi + 2))
+    bounds = sorted(s for s in cuts if s <= last) + [last + 2]
+    runs = []
+    for s0, stop in zip(bounds, bounds[1:]):
+        s1, mid = stop - 2, (s0 + stop - 2) // 2
+        if any((lo <= mid <= hi) != (lo <= s0 <= hi) for lo, hi in spans):
+            runs.append((s0, s0))
+            s0 += 2
+        runs.append((s0, s1))
+    return runs
 
 
 def apply_protocol(g: FoldGeometry, steps, path: LoopPath) -> LoopPath:
@@ -769,12 +888,13 @@ def apply_protocol(g: FoldGeometry, steps, path: LoopPath) -> LoopPath:
         if step.region == "ALL":
             layers = tuple(map(step.perm.__getitem__, layers))
             continue
-        poly = g.region_polygon(step.region)
+        g.region_polygon(step.region)  # raises for an unknown region
+        rows = g._regions[step.region]
         two_q, it = 2 * path.q, iter(path.ends)
         layers = tuple(
-            step.perm[layer] if _point_in_convex(
-                (Fraction(sx + ex, two_q), Fraction(sy + ey, two_q)), poly)
-            else layer
+            step.perm[layer] if all(
+                a * (sx + ex) + b * (sy + ey) + c * two_q >= 0
+                for a, b, c in rows) else layer
             for layer, sx, sy, ex, ey in zip(layers, it, it, it, it))
     return LoopPath._of(path.q, path.ends, layers)
 
@@ -817,27 +937,22 @@ def check_transversal(steps, g: FoldGeometry) -> bool:
     return True
 
 
-def check_closure(steps, g: FoldGeometry) -> bool:
-    """True iff the protocol maps the glued configuration to itself."""
-    if not steps:
-        return True
-    if any(step.kind != "layer_perm" for step in steps):
-        return False
-    for probe in g._probes:
-        image = apply_protocol(g, steps, probe)
-        if unfold_class(g, image) is None:
-            return False
-    return True
-
-
 def trace_loops(steps, g: FoldGeometry):
-    """Induced 2x2 integer homology action of a closed protocol."""
-    if not check_closure(steps, g):
+    """Induced 2x2 integer homology action of a closed protocol.
+
+    One pass unfolds the images of the six probes: the protocol is closed
+    iff every image closes (OrigamiError otherwise), and the classes of
+    the images of alpha and beta, the first two probes, are the matrix's
+    columns.
+    """
+    if any(step.kind != "layer_perm" for step in steps):
         raise OrigamiError("protocol is not closed; cannot trace loops")
-    alpha, beta = reference_loops(g)
-    cls_a = unfold_class(g, apply_protocol(g, steps, alpha))
-    cls_b = unfold_class(g, apply_protocol(g, steps, beta))
-    return mcg.MCGMatrix(cls_a[0], cls_b[0], cls_a[1], cls_b[1])
+    classes = [unfold_class(g, apply_protocol(g, steps, probe))
+               for probe in g._probes]
+    if None in classes:
+        raise OrigamiError("protocol is not closed; cannot trace loops")
+    (a_x, a_y), (b_x, b_y) = classes[:2]
+    return mcg.MCGMatrix(a_x, b_x, a_y, b_y)
 
 
 # -- protocols and the catalog --------------------------------------------
@@ -872,7 +987,7 @@ class Protocol:
     @classmethod
     @_document("protocol")
     def from_json(cls, text: str) -> "Protocol":
-        doc = json.loads(text)
+        doc = _load(text, "protocol")
         geometry = FoldGeometry._from_doc(doc["geometry"])
         steps = tuple(
             ProtocolStep(perm=parse_cycles(s["perm"], geometry.layers),
@@ -997,10 +1112,11 @@ def verify_protocol(entry: Protocol, rng=None) -> dict:
     """Transversality, closure, and exact trace check for one entry.
 
     check_transversal raises on a step that does not permute the layers,
-    and trace_loops raises on an open protocol or a step that is not a
-    layer permutation, so a returned report always has "transversal" and
-    "closed" True.  Tracing is deterministic: `rng` is accepted for
-    callers that still pass one and is ignored.
+    and trace_loops, which checks closure in the same pass that traces,
+    raises on an open protocol or a step that is not a layer permutation,
+    so a returned report always has "transversal" and "closed" True.
+    Tracing is deterministic: `rng` is accepted for callers that still
+    pass one and is ignored.
     """
     if entry.is_stub:
         return {"name": entry.name, "skipped": True,

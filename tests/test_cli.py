@@ -613,3 +613,41 @@ def test_estimate_integer_counts_are_accepted(doc, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, report, _ = run_json(["measure", "estimate", str(path)], capsys)
     assert code == 0 and report["overall"] == "pass"
+
+
+@pytest.mark.parametrize("head, operand, options", [
+    pytest.param(("models", "verify"), "laughlin", ["--k", "5"], id="models"),
+    pytest.param(("mcg", "eval"), "S T", ["--seed", "3"], id="mcg"),
+    pytest.param(("measure", "estimate"), None, ["--tolerance", "1e-6"],
+                 id="measure"),
+])
+def test_options_may_stand_before_or_after_the_operand(
+        head, operand, options, tmp_path, capsys):
+    if operand is None:
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps({"N": 50, "readout": 0.99}))
+        operand = str(path)
+    command, action = head
+    orders = ([command, action, operand, *options],
+              [command, action, *options, operand],
+              [command, *options, action, operand])
+    records = []
+    for argv in orders:
+        code, report, err = run_json(list(argv), capsys)
+        assert code == 0, err
+        assert report["command"] == " ".join([*argv, "--format", "json"])
+        records.append(report["records"])
+    assert records[0] == records[1] == records[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["models", "verify", "--k", "5", "laughlin", "ising"],
+    ["models", "verify", "--k", "5", "--bogus", "laughlin"],
+    ["mcg", "eval", "--seed", "1", "S", "T"],
+    ["measure", "extract", "--seed", "1", "a.json", "b.json"],
+    ["verify", "all", "extra"],
+])
+def test_left_over_arguments_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err

@@ -4,6 +4,7 @@ Expected homology matrices for the catalog entries were derived by hand
 from the chart data (exact affine maps over the rationals) and frozen
 here; the tracer must reproduce them by exact integer equality.
 """
+import functools
 import json
 import random
 import sys
@@ -15,9 +16,8 @@ import pytest
 from qorigami import mcg, origami
 from qorigami.origami import (
     AffineMap, FoldGeometry, LoopPath, OrigamiError, Protocol, ProtocolStep,
-    builtin_protocol, catalog_names, check_closure, check_transversal,
-    compose_protocols, fold,
-    fold_base_path, format_cycles, parse_cycles, reference_loops,
+    builtin_protocol, catalog_names, check_transversal, compose_protocols,
+    fold, fold_base_path, format_cycles, genon4_geometry, parse_cycles,
     reflection, square_torus, trace_loops, twofold_square, unfold_class,
     verify_protocol,
 )
@@ -168,17 +168,22 @@ class TestCatalog:
             assert entry.expected_matrix().entries() == EXPECTED_TRACES[name]
 
     def test_verify_checks_closure_once(self, monkeypatch):
+        # One pass unfolds each of the six probe images once; it checks
+        # closure, and alpha's and beta's classes are the trace.
         calls = []
-        check = origami.check_closure
+        unfold = origami.unfold_class
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return check(*args, **kwargs)
+        def counted(g, path):
+            calls.append(path)
+            return unfold(g, path)
 
-        monkeypatch.setattr(origami, "check_closure", counted)
-        report = verify_protocol(builtin_protocol("appB_8layer_S"))
+        monkeypatch.setattr(origami, "unfold_class", counted)
+        entry = builtin_protocol("appB_8layer_S")
+        report = verify_protocol(entry)
         assert report["closed"] is True
-        assert len(calls) == 1
+        assert len(calls) == 6
+        assert [path.ends for path in calls] == [
+            probe.ends for probe in entry.geometry._probes]
 
     def test_probe_paths_are_built_once_per_geometry(self, monkeypatch):
         entry = builtin_protocol("appE_4layer_RbS")
@@ -321,13 +326,14 @@ class TestTransversalAndClosure:
 
     def test_empty_protocol_is_closed(self):
         g = builtin_protocol("fig3_genon4_RaS").geometry
-        assert check_closure([], g) is True
+        assert _image_classes(g, []) == [(1, 0), (0, 1)] * 3
+        assert trace_loops([], g).entries() == ((1, 0), (0, 1))
 
     def test_region_restricted_half_step_is_not_closed(self):
         g = builtin_protocol("fig3_genon4_RaS").geometry
         step = ProtocolStep(perm=parse_cycles("(1,4)(2,3)", 4),
                             region="delta")
-        assert check_closure([step], g) is False
+        assert None in _image_classes(g, [step])
 
     def test_trace_refuses_open_protocol(self):
         g = builtin_protocol("fig3_genon4_RaS").geometry
@@ -339,7 +345,16 @@ class TestTransversalAndClosure:
     def test_non_involutive_global_swap_breaks_closure(self):
         g = builtin_protocol("fig3_genon4_RaS").geometry
         step = ProtocolStep(perm=parse_cycles("(1,2)", 4))
-        assert check_closure([step], g) is False
+        assert None in _image_classes(g, [step])
+        with pytest.raises(OrigamiError, match="not closed"):
+            trace_loops([step], g)
+
+
+def _image_classes(g, steps):
+    """Class of each probe image under the steps; None where one does not
+    close, so the protocol is closed iff None is absent."""
+    return [unfold_class(g, origami.apply_protocol(g, steps, probe))
+            for probe in g._probes]
 
 
 # -- tracing details ------------------------------------------------------
@@ -348,7 +363,7 @@ class TestTransversalAndClosure:
 class TestTracing:
     def test_identity_trace(self):
         g = builtin_protocol("fig2_fold2_RaS").geometry
-        alpha, beta = reference_loops(g)
+        alpha, beta = g._probes[:2]
         assert unfold_class(g, alpha) == (1, 0)
         assert unfold_class(g, beta) == (0, 1)
 
@@ -377,7 +392,7 @@ class TestTracing:
 
     def test_zero_winding_detour_adds_nothing_to_class(self):
         g = builtin_protocol("fig3_genon4_RaS").geometry
-        alpha, _ = reference_loops(g)
+        alpha = g._probes[0]
         segs = list(alpha.segments)
         s, e, l = segs[3]
         decorated = LoopPath(tuple(segs[:4] + [(e, s, l), (s, e, l)]
@@ -386,14 +401,15 @@ class TestTracing:
 
     def test_two_zero_winding_detours_add_nothing_to_class(self):
         g = builtin_protocol("fig3_genon4_RaS").geometry
-        alpha, _ = reference_loops(g)
+        alpha = g._probes[0]
         segs = list(alpha.segments)
-        s, e, l = segs[3]
+        assert len(segs) == 4
+        s, e, l = segs[1]
         detour = [(e, s, l), (s, e, l)]
-        s2, e2, l2 = segs[10]
+        s2, e2, l2 = segs[2]
         detour2 = [(e2, s2, l2), (s2, e2, l2)]
         decorated = LoopPath(tuple(
-            segs[:4] + detour + segs[4:11] + detour2 + segs[11:]))
+            segs[:2] + detour + segs[2:3] + detour2 + segs[3:]))
         assert unfold_class(g, decorated) == (1, 0)
 
     def test_loop_path_round_trips_its_segments(self):
@@ -500,6 +516,31 @@ def _fraction_fold(g, points, subdivisions=60):
     return LoopPath(tuple(segments))
 
 
+def _mid(s, e):
+    return ((s[0] + e[0]) / 2, (s[1] + e[1]) / 2)
+
+
+def _memberships(g, s, e):
+    """Which regions of g hold the midpoint of the segment s -> e, tested
+    in Fractions."""
+    return tuple(origami._point_in_convex(_mid(s, e), poly)
+                 for poly in g.regions.values())
+
+
+def _fraction_runs(g, path, subdivisions=60):
+    """Merge the oracle's subsegments into maximal runs: neighbours on one
+    polyline edge, of one layer, that meet end to start and whose
+    midpoints every region of g holds alike."""
+    runs = []
+    for i, (s, e, layer) in enumerate(path.segments):
+        key = (i // subdivisions, layer, _memberships(g, s, e))
+        if runs and runs[-1][2] == key and runs[-1][1] == s:
+            runs[-1][1] = e
+        else:
+            runs.append([s, e, key])
+    return LoopPath(tuple((s, e, key[1]) for s, e, key in runs))
+
+
 _POLYLINES = {
     "diagonal": ([(0, 0), (Fraction(1, 3), Fraction(2, 5)), (1, 1)], 60),
     "outside_unit_square": ([(Fraction(-1, 2), Fraction(1, 3)),
@@ -517,12 +558,123 @@ def test_integer_fold_matches_fraction_oracle(name):
     for off in (Fraction(1, 7), Fraction(2, 7), Fraction(5, 11)):
         for points in ([(0, off), (1, off)], [(off, 0), (off, 1)]):
             path = fold_base_path(g, points)
-            assert path == _fraction_fold(g, points)
+            assert path == _fraction_runs(g, _fraction_fold(g, points))
     for points, subdivisions in _POLYLINES.values():
         path = fold_base_path(g, points, subdivisions)
-        expected = _fraction_fold(g, points, subdivisions)
+        expected = _fraction_runs(
+            g, _fraction_fold(g, points, subdivisions), subdivisions)
         assert path == expected
         assert path.segments == expected.segments
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_TRACES))
+def test_probe_runs_are_maximal(name):
+    # Each probe is one straight base edge, so two neighbouring runs could
+    # merge iff they share a layer, meet end to start, and every region
+    # holds their midpoints alike.
+    g = builtin_protocol(name).geometry
+    for probe in g._probes:
+        segments = probe.segments
+        assert 2 <= len(segments) <= 6
+        for (s1, e1, l1), (s2, e2, l2) in zip(segments, segments[1:]):
+            assert not (l1 == l2 and e1 == s2 and _memberships(
+                g, s1, e1) == _memberships(g, s2, e2)), (name, s2)
+
+
+_PROBE_POINTS = [points for off in (Fraction(1, 7), Fraction(2, 7),
+                                    Fraction(5, 11))
+                 for points in ([(0, off), (1, off)], [(off, 0), (off, 1)])]
+
+
+def _with_regions(regions):
+    """The four-layer genon geometry with the given regions in place of
+    its own."""
+    g = genon4_geometry()
+    return FoldGeometry(
+        base=g.base, layers=g.layers, charts=g.charts, footprint=g.footprint,
+        regions=regions, boundary_pairings=g.boundary_pairings,
+        branch_cuts=g.branch_cuts, metadata=g.metadata)
+
+
+@functools.cache
+def _genon4_subsegments():
+    """The oracle's 60 subsegments of each probe on the genon charts."""
+    g = genon4_geometry()
+    return [_fraction_fold(g, points).segments for points in _PROBE_POINTS]
+
+
+def _assert_classes_match_subsegments(g, steps):
+    """Each probe's runs under the steps, on a geometry with the genon
+    charts, have the class of its 60 subsegments relabelled one by one in
+    Fractions, and trace_loops raises exactly when one of those classes
+    is None."""
+    runs = _image_classes(g, steps)
+    subsegments = [_fraction_glue(g, _fraction_relabel(g, steps, segments))
+                   for segments in _genon4_subsegments()]
+    assert runs == subsegments
+    if None in subsegments:
+        with pytest.raises(OrigamiError, match="not closed"):
+            trace_loops(steps, g)
+    else:
+        assert trace_loops(steps, g).entries() == (
+            (runs[0][0], runs[1][0]), (runs[0][1], runs[1][1]))
+    return runs
+
+
+def _random_convex(rng):
+    """The convex hull of three to five random points on a small grid
+    around the genon footprint, or None if it has zero area."""
+    den = rng.choice((4, 6, 7, 12, 14, 60))
+    pts = sorted({(Fraction(rng.randrange(-1, den + 2), den),
+                   Fraction(rng.randrange(-1, den // 2 + 2), den))
+                  for _ in range(rng.randrange(3, 6))})
+
+    def chain(points):
+        out = []
+        for p in points:
+            while len(out) >= 2 and (
+                    (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                    - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = chain(pts)[:-1] + chain(pts[::-1])[:-1]
+    return tuple(hull) if len(hull) >= 3 else None
+
+
+def test_runs_relabel_as_their_subsegments_under_random_regions():
+    rng = random.Random(2024)
+    perms = ("(1,4)(2,3)", "(1,2)(3,4)", "(1,3)(2,4)", "(1,2)", "(1,3,2,4)")
+    cases = closed = 0
+    while cases < 60:
+        regions = dict(genon4_geometry().regions)
+        for i in range(rng.randrange(1, 4)):
+            poly = _random_convex(rng)
+            if poly is not None:
+                regions[f"r{i}"] = poly
+        g = _with_regions(regions)
+        names = sorted(regions) + ["ALL"]
+        steps = [ProtocolStep(perm=parse_cycles(rng.choice(perms), 4),
+                              region=rng.choice(names))
+                 for _ in range(rng.randrange(1, 4))]
+        closed += None not in _assert_classes_match_subsegments(g, steps)
+        cases += 1
+    assert 0 < closed < cases
+
+
+def test_region_between_two_midpoints_does_not_relabel_a_run():
+    # The spike touches alpha's line y = 1/7 only at x = 1/2, the middle
+    # of alpha's run on layer 1 and a subsegment end, not a midpoint.
+    half = Fraction(1, 2)
+    spike = ((half, Fraction(1, 7)), (Fraction(2, 5), Fraction(0)),
+             (Fraction(3, 5), Fraction(0)))
+    g = _with_regions({"spike": spike})
+    step = ProtocolStep(perm=parse_cycles("(1,4)(2,3)", 4), region="spike")
+    runs = _assert_classes_match_subsegments(g, [step])
+    assert runs[0] == (1, 0)
+    plain = _with_regions({})._probes[0]
+    assert len(g._probes[0].layers) == len(plain.layers) + 1
 
 
 def test_locate_takes_integers_over_a_denominator():
@@ -594,6 +746,46 @@ class TestSerialization:
         with pytest.raises(OrigamiError):
             FoldGeometry.from_json(mangle(text))
 
+    @pytest.mark.parametrize("poly, message", [
+        pytest.param([["0", "0"], ["1/2", "0"], ["1/2", "1/4"],
+                      ["1/4", "1/4"], ["1/4", "1/2"], ["0", "1/2"]],
+                     "not convex", id="L_shape"),
+        pytest.param([["0", "0"], ["2", "0"], ["1", "3"], ["-1", "2"],
+                      ["3", "2"]], "not convex", id="pentagram"),
+        pytest.param([["0", "0"], ["1/2", "0"]], "fewer than 3",
+                     id="two_vertices"),
+        pytest.param([["0", "0"], ["1/4", "0"], ["1/2", "0"]], "zero area",
+                     id="collinear"),
+    ])
+    def test_region_must_be_convex(self, poly, message):
+        doc = json.loads(builtin_protocol("fig3_genon4_RaS").to_json())
+        doc["geometry"]["regions"]["bad"] = poly
+        with pytest.raises(OrigamiError, match=f"region 'bad' .*{message}"):
+            Protocol.from_json(json.dumps(doc))
+        with pytest.raises(OrigamiError, match=f"region 'bad' .*{message}"):
+            FoldGeometry.from_json(json.dumps(doc["geometry"]))
+
+    def test_parsed_documents_share_their_strings(self):
+        text = compose_protocols(builtin_protocol("appE_4layer_RbS"),
+                                 builtin_protocol("appD_4layer_C")).to_json()
+        one, two = Protocol.from_json(text), Protocol.from_json(text)
+        assert one.name is two.name
+        assert one.expected[0] is two.expected[0]
+        assert one.steps[0].region is two.steps[0].region
+        assert one.steps[0].kind is two.steps[0].kind
+        assert (one.metadata["composed_from"][0]
+                is two.metadata["composed_from"][0])
+        geometries = (one.geometry, two.geometry,
+                      FoldGeometry.from_json(one.geometry.to_json()))
+        for g in geometries[1:]:
+            first = geometries[0]
+            assert g.base is first.base
+            assert all(a is b for a, b in zip(g.regions, first.regions))
+            assert all(a is b for pa, pb in zip(g.boundary_pairings,
+                                                first.boundary_pairings)
+                       for a, b in zip(pa, pb))
+            assert g.metadata["layer_order"] is first.metadata["layer_order"]
+
     def test_round_tripped_protocol_traces_identically(self):
         entry = builtin_protocol("appE_4layer_RbS")
         clone = Protocol.from_json(entry.to_json())
@@ -645,6 +837,17 @@ class TestGeometryInvariants:
                 p = (Fraction(rng.randrange(den), den),
                      Fraction(rng.randrange(den), den))
                 assert g.locate(p) == reference(g, p), (name, p)
+
+    def test_clockwise_regions_act_as_counterclockwise_ones(self):
+        g = genon4_geometry()
+        reversed_g = _with_regions({name: poly[::-1]
+                                    for name, poly in g.regions.items()})
+        assert reversed_g._probes == g._probes
+        for region in ("delta", "nabla"):
+            step = ProtocolStep(perm=parse_cycles("(1,4)(2,3)", 4),
+                                region=region)
+            assert (_image_classes(reversed_g, [step])
+                    == _image_classes(g, [step]))
 
     def test_orientation_flags_split_evenly(self):
         for name in ("appB_8layer_S", "appE_12layer_C", "appD_4layer_C"):
